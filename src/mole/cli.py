@@ -2,8 +2,9 @@
 report.
 
 Every artifact-producing command drops a JSON manifest next to its outputs
-(resolved configs, seeds, sha256 of inputs and outputs) so runs can be
-reproduced bit-for-bit.
+(resolved configs, seeds, sha256 of inputs and outputs, and the matmul
+kernel and BLAS that produced the bits) so runs can be reproduced
+bit-for-bit.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 I/O error.
@@ -15,13 +16,14 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analyst, checkpoint, engine, lut_store, reparam, trainer
+from . import __version__, analyst, checkpoint, engine, kernels, lut_store, reparam, trainer
 from .config import (
     PAPER_CONFIGS,
     ConfigError,
@@ -62,6 +64,24 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
+def kernel_provenance() -> dict:
+    """What decides the bits of a run: the matmul kernel chosen per dtype,
+    its tile height, NumPy and its BLAS, and the thread variables as set."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # NumPy before 1.26 has no dict mode
+        blas = {}
+    return {
+        "backend": {np.dtype(t).name: kernels.backend(t) for t in kernels.FLOAT_DTYPES},
+        "tile_rows": kernels.TILE_ROWS,
+        "numpy_version": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "MOLE_RT_THREADS": os.environ.get(reparam.THREADS_ENV),
+    }
+
+
 def write_manifest(path: Path, command: str, config: dict, seed: int | None,
                    inputs: dict[str, str], outputs: dict[str, str]) -> None:
     manifest = {
@@ -69,6 +89,7 @@ def write_manifest(path: Path, command: str, config: dict, seed: int | None,
         "command": command,
         "config": config,
         "seed": seed,
+        "kernel": kernel_provenance(),
         "inputs": {k: sha256_file(v) for k, v in inputs.items()},
         "outputs": {k: sha256_file(v) for k, v in outputs.items()},
     }
@@ -163,16 +184,11 @@ def cmd_verify(args) -> int:
               f"variant is '{params.cfg.variant}'", file=sys.stderr)
         return EXIT_USAGE
     with lut_store.open_lut(args.lut) as handle:
-        h = handle.header
         cfg = params.cfg
-        if (h.n_layers, h.vocab, h.n_experts, h.d) != (cfg.L, cfg.vocab, cfg.N, cfg.d):
-            print(f"error: LUT dims ({h.n_layers},{h.vocab},{h.n_experts},{h.d}) "
-                  f"do not match checkpoint ({cfg.L},{cfg.vocab},{cfg.N},{cfg.d})",
-                  file=sys.stderr)
-            return EXIT_USAGE
+        check_lut_matches(cfg, handle.header)
         tolerance = args.tolerance
         if tolerance is None:
-            tolerance = VERIFY_TOLERANCES[h.dtype]
+            tolerance = VERIFY_TOLERANCES[handle.header.dtype]
         infer_params, _tables = _strip_experts(params)
         prompts = _random_prompts(cfg, args.prompts, args.seed,
                                   min(args.max_len, cfg.max_seq))
@@ -180,6 +196,16 @@ def cmd_verify(args) -> int:
                                             prompts, tolerance)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
+
+
+def check_lut_matches(cfg: ModelConfig, header: lut_store.LutFileHeader) -> None:
+    """Raise ConfigError naming each LUT header dim the checkpoint disagrees with."""
+    dims = {"n_layers": (header.n_layers, cfg.L), "vocab": (header.vocab, cfg.vocab),
+            "n_experts": (header.n_experts, cfg.N), "d": (header.d, cfg.d)}
+    bad = [f"{name} {got} (checkpoint has {want})"
+           for name, (got, want) in dims.items() if got != want]
+    if bad:
+        raise ConfigError("lut", "header dims do not match the checkpoint: " + ", ".join(bad))
 
 
 def _strip_experts(params):
@@ -202,6 +228,7 @@ def cmd_infer(args) -> int:
                 print("error: --lut is required for the mole-lut runtime", file=sys.stderr)
                 return EXIT_USAGE
             lut = lut_store.open_lut(args.lut)
+            check_lut_matches(params.cfg, lut.header)
             run_params, _ = _strip_experts(params)
         bw = analyst.BandwidthModel(bytes_per_second=args.bandwidth_gbps * 1e9)
         result = engine.greedy_decode(run_params, prompts, args.steps,

@@ -96,7 +96,7 @@ def make_cache_states(cfg: ModelConfig, batch: int, seed: int) -> list[ExpertCac
 # Metering
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     step: int  # -1 marks the prefill pass
     lanes: int

@@ -1,21 +1,41 @@
 """Deterministic dense numeric primitives.
 
 Every routine here is a pure function over numpy arrays (float32 or float64)
-with a fixed accumulation order, so results are bit-reproducible across runs
-and across batch groupings. Nothing in this module goes through BLAS: the
-contraction loops run in a fixed sequential order, which makes a batched
-matmul produce bit-identical rows to a one-row-at-a-time matmul. Several
-equivalence guarantees elsewhere in the package (lookup-table inference vs
-the training-form forward, chunked vs unchunked table builds) lean on that
-property.
+whose bits are reproducible on a given machine and BLAS library.
+
+``matmul`` goes through BLAS on fixed-size row tiles: every gemm it issues
+has exactly ``TILE_ROWS`` rows, so each row's reduction is fixed by
+(K, N, dtype) and does not depend on how many rows share the call. A batched
+matmul therefore gives bit-identical rows to a one-row-at-a-time matmul.
+Several equivalence guarantees elsewhere in the package (lookup-table
+inference vs the training-form forward, chunked vs unchunked table builds)
+lean on that property. On first use for each dtype a small probe checks it
+against the local BLAS; if any row differs, ``matmul`` warns once and runs
+``matmul_sequential``, a fixed k-ascending loop, instead. ``backend`` says
+which of the two ran, and the CLI manifests record it.
 """
 
 from __future__ import annotations
+
+import threading
+import warnings
 
 import numpy as np
 from scipy.special import erf
 
 FLOAT_DTYPES = (np.float32, np.float64)
+
+# Rows per BLAS call in ``matmul``. 8, 16, 32 and 64 all pass the probe on
+# OpenBLAS 0.3.31 (Haswell kernels) and ran the benchmark's train and decode
+# workloads equally fast; 16 pads a one-row call to a quarter of 64's work.
+TILE_ROWS = 16
+
+TILED = "tiled-blas"
+SEQUENTIAL = "sequential"
+
+# (K, N) shapes the probe runs: a model-sized one, ragged edges on both
+# axes, and N == 1, which numpy sends to gemv rather than gemm.
+_PROBE_SHAPES = ((64, 192), (33, 17), (7, 1))
 
 ROTARY_BASE = 10000.0
 
@@ -29,14 +49,8 @@ def _check_float(x: np.ndarray, name: str) -> None:
         raise TypeError(f"{name} must be float32 or float64, got {x.dtype}")
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over the last two axes with broadcast leading axes.
-
-    Accumulates over the contraction axis in a fixed sequential (k-ascending)
-    order: each output element sees exactly the operation sequence
-    ``acc = acc + a[..., i, k] * b[..., k, j]`` for k = 0, 1, ..., K-1, which
-    is bit-identical to a naive triple loop in the same dtype.
-    """
+def _check_operands(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
+    """Validate a matmul's operands; returns the broadcast leading shape."""
     _check_float(a, "a")
     _check_float(b, "b")
     if a.dtype != b.dtype:
@@ -45,7 +59,36 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner extents disagree: {a.shape} @ {b.shape}")
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    return np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product over the last two axes with broadcast leading axes.
+
+    Each row of the result is computed by a BLAS gemm on a tile of exactly
+    ``TILE_ROWS`` rows (the last partial tile is zero-padded), on row-major
+    copies of any operand stored another way. A row's reduction is thus
+    fixed by (K, N, dtype): it does not depend on how many rows share the
+    call, on where the row sits in it, or on the operands' memory layout.
+    The order of that reduction is BLAS's, not k-ascending. Where the probe
+    run by ``backend`` finds the local BLAS breaks this, the result is
+    ``matmul_sequential``'s instead.
+    """
+    lead = _check_operands(a, b)
+    if backend(a.dtype) == SEQUENTIAL:
+        return matmul_sequential(a, b)
+    return _matmul_tiled(a, b, lead)
+
+
+def matmul_sequential(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reference matmul, and ``matmul``'s fallback.
+
+    Accumulates over the contraction axis in a fixed sequential (k-ascending)
+    order: each output element sees exactly the operation sequence
+    ``acc = acc + a[..., i, k] * b[..., k, j]`` for k = 0, 1, ..., K-1, which
+    is bit-identical to a naive triple loop in the same dtype.
+    """
+    lead = _check_operands(a, b)
     m, kdim, n = a.shape[-2], a.shape[-1], b.shape[-1]
     out = np.zeros(lead + (m, n), dtype=a.dtype)
     tmp = np.empty_like(out)
@@ -53,6 +96,72 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.multiply(a[..., :, k : k + 1], b[..., k : k + 1, :], out=tmp)
         np.add(out, tmp, out=out)
     return out
+
+
+def _row_major(x: np.ndarray) -> np.ndarray:
+    """``x`` if each of its matrices is packed row-major, else such a copy:
+    BLAS rounds transposed or strided operands differently."""
+    if x.strides[-1] == x.itemsize and x.strides[-2] == x.shape[-1] * x.itemsize:
+        return x
+    return np.ascontiguousarray(x)
+
+
+def _matmul_tiled(a: np.ndarray, b: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    a, b = _row_major(a), _row_major(b)
+    m, k, n = a.shape[-2], a.shape[-1], b.shape[-1]
+    out = np.empty(lead + (m, n), dtype=a.dtype)
+    whole = m - m % TILE_ROWS
+    if whole:
+        # one stacked call: numpy issues one gemm per (leading index, tile)
+        tiles = whole // TILE_ROWS
+        np.matmul(a[..., :whole, :].reshape(a.shape[:-2] + (tiles, TILE_ROWS, k)),
+                  b[..., None, :, :],
+                  out=out[..., :whole, :].reshape(lead + (tiles, TILE_ROWS, n)))
+    if whole < m:
+        pad = np.zeros(a.shape[:-2] + (TILE_ROWS, k), dtype=a.dtype)
+        pad[..., : m - whole, :] = a[..., whole:, :]
+        out[..., whole:, :] = np.matmul(pad, b)[..., : m - whole, :]
+    return out
+
+
+def _rows_invariant(dtype: np.dtype) -> bool:
+    """True when every row of a tiled product has the bits of that row
+    multiplied on its own, for row counts on both sides of ``TILE_ROWS``."""
+    rng = np.random.default_rng(0)
+    for k, n in _PROBE_SHAPES:
+        b = rng.standard_normal((k, n)).astype(dtype)
+        for m in (TILE_ROWS - 1, TILE_ROWS, 2 * TILE_ROWS + 3):
+            a = rng.standard_normal((m, k)).astype(dtype)
+            full = _matmul_tiled(a, b, ())
+            for i in range(m):
+                if _matmul_tiled(a[i : i + 1], b, ()).tobytes() != full[i].tobytes():
+                    return False
+    return True
+
+
+_backends: dict[np.dtype, str] = {}
+_backends_lock = threading.Lock()
+
+
+def backend(dtype) -> str:
+    """The kernel ``matmul`` runs for ``dtype``: ``TILED``, or ``SEQUENTIAL``
+    when the local BLAS fails the row-invariance probe (run once per dtype
+    per process, with a warning on failure)."""
+    dtype = np.dtype(dtype)
+    name = _backends.get(dtype)
+    if name is None:
+        with _backends_lock:
+            name = _backends.get(dtype)
+            if name is None:
+                name = TILED if _rows_invariant(dtype) else SEQUENTIAL
+                if name == SEQUENTIAL:
+                    warnings.warn(
+                        f"BLAS gives rows of a {TILE_ROWS}-row {dtype} tile other bits "
+                        "than the same rows alone; matmul falls back to the slower "
+                        "sequential kernel, whose bits differ from the tiled kernel's",
+                        RuntimeWarning, stacklevel=3)
+                _backends[dtype] = name
+    return name
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

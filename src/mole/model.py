@@ -290,8 +290,9 @@ def combine_expert_rows(gates: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Weighted sum over the expert axis, expert index ascending.
 
     gates: (..., N); rows: (N, ..., d). Shared by the training form and the
-    LUT form so both accumulate in the same order (bit-identical results for
-    identical rows).
+    LUT form so both combine in the same order. Their rows are identical
+    because ``matmul`` fixes each row's reduction by (K, N, dtype), whatever
+    the number of rows in the call, so the two forms agree bit-for-bit.
     """
     n = rows.shape[0]
     out = np.zeros(rows.shape[1:], dtype=rows.dtype)

@@ -3,9 +3,10 @@ lookup tables and verify that the table-driven model reproduces the
 training-form model.
 
 Table entry (i, j) is FFN_j(expert_norm(embedding_row_i)). Tables are built
-as batched passes over the full embedding matrix; because every kernel
-accumulates in a fixed order, a batched build is bit-identical to
-re-computing any single row on its own, and table size depends only on
+as batched passes over the full embedding matrix. ``kernels.matmul`` fixes
+each row's reduction by (K, N, dtype), however many rows share the call, so
+on a given machine and BLAS a batched build is bit-identical to
+re-computing any single row on its own. Table size depends only on
 (vocab, N, d) — never on the routed experts' hidden width.
 """
 

@@ -2,9 +2,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mole.cli import main
+from mole.lut_store import write_lut
+from mole.reparam import LutTable
 
 TOY_CONFIG = {
     "model": {
@@ -44,6 +47,11 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert "checkpoint" in manifest["outputs"]
+        kernel = manifest["kernel"]
+        assert set(kernel) == {"backend", "tile_rows", "numpy_version", "blas_name",
+                               "blas_version", "OPENBLAS_NUM_THREADS", "MOLE_RT_THREADS"}
+        assert set(kernel["backend"].values()) <= {"tiled-blas", "sequential"}
+        assert kernel["numpy_version"] == np.__version__
 
     def test_missing_field_exit_2_names_field(self, tmp_path, capsys):
         bad = dict(TOY_CONFIG)
@@ -108,6 +116,17 @@ class TestPipeline:
         lut.write_bytes(lut.read_bytes()[:-3])
         assert run(["verify", "--checkpoint", trained, "--lut", lut]) == 3
         assert "mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "infer"])
+    def test_lut_for_other_shape_exit_2_names_dims(self, trained, tmp_path, capsys, command):
+        lut = tmp_path / "other.lut"
+        write_lut([LutTable(0, np.zeros((61, 3, 32), np.float32))], lut)
+        argv = [command, "--checkpoint", trained, "--lut", lut]
+        if command == "infer":
+            argv += ["--runtime", "mole-lut", "--prompt", "1,2,3", "--steps", "2"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "n_experts 3 (checkpoint has 2)" in err
 
     def test_dense_checkpoint_reparam_refused(self, tmp_path, capsys):
         cfg = {

@@ -1,20 +1,34 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_prompts, tiny_mole
+
+import mole
+from mole import kernels
+from mole.engine import greedy_decode
 from mole.kernels import (
+    TILE_ROWS,
     ShapeError,
     apply_rotary,
     gelu,
     gelu_grad,
     matmul,
+    matmul_sequential,
     rmsnorm,
     rmsnorm_backward,
     softmax,
 )
+from mole.reparam import InMemoryLut, reparameterize, verify_equivalence
 
 
 def naive_matmul(a, b):
@@ -47,19 +61,79 @@ class TestMatmul:
         rng = np.random.default_rng(7)
         a = rng.standard_normal((4, 5)).astype(dtype)
         b = rng.standard_normal((5, 3)).astype(dtype)
-        got = matmul(a, b)
+        got = matmul_sequential(a, b)
         want = naive_matmul(a, b)
         assert got.tobytes() == want.tobytes()
 
-    def test_batched_rows_match_single_rows_bitwise(self):
-        # batching must not change any row's accumulation sequence
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m", [1, 2, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 384, 4096])
+    @pytest.mark.parametrize("lead", [(), (2, 3)], ids=["no-lead", "lead-2x3"])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided"])
+    def test_batched_rows_match_single_rows_bitwise(self, dtype, m, lead, layout):
+        # batching must not change any row's bits, nor may the operands' layout;
+        # with a leading shape, b has one matrix per last leading index (broadcast)
         rng = np.random.default_rng(8)
-        a = rng.standard_normal((6, 9)).astype(np.float32)
-        b = rng.standard_normal((9, 4)).astype(np.float32)
+        k, n = 33, 17
+        if layout == "transposed":
+            a = rng.standard_normal(lead + (k, m)).astype(dtype).swapaxes(-1, -2)
+            b = rng.standard_normal(lead[1:] + (n, k)).astype(dtype).swapaxes(-1, -2)
+        elif layout == "strided":
+            a = rng.standard_normal(lead + (m, 2 * k)).astype(dtype)[..., ::2]
+            b = rng.standard_normal(lead[1:] + (2 * k, n)).astype(dtype)[..., ::2, :]
+        else:
+            a = rng.standard_normal(lead + (m, k)).astype(dtype)
+            b = rng.standard_normal(lead[1:] + (k, n)).astype(dtype)
         full = matmul(a, b)
-        for i in range(6):
-            row = matmul(a[i : i + 1], b)
-            assert row.tobytes() == full[i : i + 1].tobytes()
+        packed = matmul(np.ascontiguousarray(a), np.ascontiguousarray(b))
+        assert full.tobytes() == packed.tobytes()
+        for i in range(m):
+            row = matmul(a[..., i : i + 1, :], b)
+            assert row.tobytes() == full[..., i : i + 1, :].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m", [1, TILE_ROWS + 3, 200])
+    def test_matches_sequential_within_rounding(self, dtype, m):
+        # both kernels are within 2 * K * eps * (|a| @ |b|) of the exact product
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((3, m, 64)).astype(dtype)
+        b = rng.standard_normal((64, 48)).astype(dtype)
+        bound = 2 * 64 * np.finfo(dtype).eps * (np.abs(a).astype(np.float64) @ np.abs(b))
+        diff = np.abs(matmul(a, b).astype(np.float64) - matmul_sequential(a, b))
+        assert np.all(diff <= bound)
+
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        # with (256, 256) operands each tile's gemm is big enough for OpenBLAS to
+        # split between threads
+        script = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from mole.kernels import backend, matmul
+
+            def run():
+                rng = np.random.default_rng(3)
+                h = hashlib.sha256()
+                for dtype in (np.float32, np.float64):
+                    for k, n in ((64, 192), (256, 256)):
+                        b = rng.standard_normal((k, n)).astype(dtype)
+                        for m in (1, 17, 384):
+                            a = rng.standard_normal((m, k)).astype(dtype)
+                            h.update(matmul(a, b).tobytes())
+                return h.hexdigest()
+
+            first = run()
+            assert run() == first
+            print(backend(np.float32), backend(np.float64), first)
+        """)
+        src = str(Path(mole.__file__).resolve().parent.parent)
+        outputs = set()
+        for threads in [t for t in (1, 2) if t <= (os.cpu_count() or 1)]:
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120, check=False)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
 
     def test_broadcast_leading_axes(self):
         rng = np.random.default_rng(9)
@@ -72,6 +146,40 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             matmul(np.zeros((2, 3), np.float32), np.zeros((4, 2), np.float32))
+
+
+class TestSequentialFallback:
+    """A BLAS that fails the row-invariance probe gets the sequential kernel."""
+
+    @pytest.fixture
+    def fallback(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_rows_invariant", lambda dtype: False)
+        monkeypatch.setattr(kernels, "_backends", {})
+
+    def test_matmul_is_sequential_and_warns_once(self, fallback):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((2, 37, 24)).astype(np.float32)
+        b = rng.standard_normal((24, 10)).astype(np.float32)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = [matmul(a, b) for _ in range(3)]
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert kernels.backend(np.float32) == kernels.SEQUENTIAL
+        want = matmul_sequential(a, b)
+        assert all(g.tobytes() == want.tobytes() for g in got)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_mole_forms_still_agree(self, fallback):
+        p = tiny_mole(seed=5)
+        infer, tables = reparameterize(p)
+        prompts = random_prompts(np.random.default_rng(13), p.cfg.vocab, 6, 12)
+        report = verify_equivalence(p, infer, InMemoryLut(tables), prompts, tolerance=0.0)
+        assert report.passed and report.max_rel_err == 0.0
+        ref = greedy_decode(p, prompts, steps=6, runtime="mole-train")
+        got = greedy_decode(infer, prompts, steps=6, runtime="mole-lut",
+                            lut=InMemoryLut(tables))
+        assert got.tokens == ref.tokens
+        assert kernels.backend(np.float32) == kernels.SEQUENTIAL
 
 
 class TestSoftmax:
