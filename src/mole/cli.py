@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__, analyst, checkpoint, engine, kernels, lut_store, reparam, trainer
 from .config import (
     PAPER_CONFIGS,
+    THREADS_ENV,
     ConfigError,
     CorpusConfig,
     ModelConfig,
@@ -78,7 +79,7 @@ def kernel_provenance() -> dict:
         "blas_name": blas.get("name"),
         "blas_version": blas.get("version"),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "MOLE_RT_THREADS": os.environ.get(reparam.THREADS_ENV),
+        "MOLE_RT_THREADS": os.environ.get(THREADS_ENV),
     }
 
 

@@ -9,6 +9,7 @@ out of scope for this artifact.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -22,6 +23,26 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         self.field = field_name
         super().__init__(f"config field '{field_name}': {message}")
+
+
+THREADS_ENV = "MOLE_RT_THREADS"
+
+
+def worker_threads() -> int:
+    """Worker threads for table builds and LUT prefetch: ``MOLE_RT_THREADS``
+    (default 1), capped at ``os.cpu_count()``.
+
+    A value that is not an integer >= 1 raises ValueError naming the
+    variable; the CLI exits with its usage code.
+    """
+    raw = os.environ.get(THREADS_ENV, "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {raw!r}")
+    return min(threads, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)

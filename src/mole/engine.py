@@ -14,6 +14,13 @@ Three real runtimes (they run the actual model):
                                (2 * d * D_r elements each) and the cache is
                                updated under the retention policy below.
 
+All lanes decode together: prefill is one packed forward over every prompt
+token of every lane, and each step one packed forward over one new token
+per lane (``model.forward_lanes``). Row-wise work runs once over all rows;
+only the attention core runs per group of lanes with equal (cached, new)
+lengths, and no lane is padded. Each lane therefore gets the bits it gets
+decoding alone, and the meter is what the lanes would be charged alone.
+
 Plus a model-free bandwidth simulator (uniform-random routing) for shapes
 too large to run, used by the latency accounting.
 
@@ -29,20 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ModelConfig
-from .kernels import matmul, rmsnorm, softmax
-from .model import (
-    RMS_EPS,
-    DecodeState,
-    ModelParams,
-    attention_forward,
-    combine_expert_rows,
-    embed,
-    ffn_forward,
-    forward_tokens,
-    greedy_pick,
-    init_decode_state,
-    moe_layer_forward,
-)
+from .model import ModelParams, forward_lanes, forward_tokens, greedy_pick, init_decode_state
 
 
 # ---------------------------------------------------------------------------
@@ -188,118 +182,44 @@ def greedy_decode(
         raise ValueError("mole-lut runtime needs an open LUT handle")
 
     lanes = len(prompts)
+    prompts = [np.ravel(np.asarray(p)) for p in prompts]
+    lens = [len(p) for p in prompts]
     meter = StepMeter(bytes_per_element=bytes_per_element, bandwidth=bandwidth)
-    states = [init_decode_state(params, len(np.ravel(p)) + steps) for p in prompts]
+    states = [init_decode_state(params, len(p) + steps) for p in prompts]
     cache_states = make_cache_states(cfg, lanes, seed) if runtime == "moe-offload" else None
+    mole_lut = runtime == "mole-lut"
+    form = "lut_form" if mole_lut else "train_form"
+    lut_row_elements = cfg.N * cfg.d * cfg.L  # per token, when rows come from the table
 
-    form = "lut_form" if runtime == "mole-lut" else "train_form"
-    base_bytes = lut.bytes_read if runtime == "mole-lut" else 0
-
-    # prefill each lane; take the next-token prediction from the last position
-    current: list[int] = []
-    prefill_elements = 0
-    for lane, prompt in enumerate(prompts):
-        prompt = np.ravel(np.asarray(prompt))
-        logits = forward_tokens(params, prompt, states[lane], form=form, lut=lut)
-        current.append(greedy_pick(logits[-1]))
-        if runtime == "mole-lut":
-            prefill_elements += len(prompt) * cfg.N * cfg.d * cfg.L
-    prefill_bytes = (lut.bytes_read - base_bytes) if runtime == "mole-lut" else 0
-    meter.add(-1, lanes, prefill_elements, 0, nbytes=prefill_bytes)
+    # prefill: every prompt in one packed forward; a lane's next token comes
+    # from its last row
+    before = lut.bytes_read if mole_lut else 0
+    logits = forward_tokens(params, prompts, states, form=form, lut=lut)
+    current = [greedy_pick(row) for row in logits[np.cumsum(lens) - 1]]
+    meter.add(-1, lanes, sum(lens) * lut_row_elements if mole_lut else 0, 0,
+              nbytes=lut.bytes_read - before if mole_lut else 0)
 
     tokens: list[list[int]] = [[] for _ in range(lanes)]
     for step in range(steps):
-        for lane in range(lanes):
-            tokens[lane].append(current[lane])
-        if runtime == "mole-lut":
-            before = lut.bytes_read
-            logits_rows, elements = _mole_lut_step(params, current, states, lut)
-            meter.add(step, lanes, elements, 0, nbytes=lut.bytes_read - before)
-        elif runtime == "moe-offload":
-            logits_rows, loaded = _moe_offload_step(params, current, states,
-                                                    cache_states, lanes)
+        for lane, tok in enumerate(current):
+            tokens[lane].append(tok)
+        before = lut.bytes_read if mole_lut else 0
+        sel: list[np.ndarray] | None = [] if runtime == "moe-offload" else None
+        logits = forward_lanes(params, [[tok] for tok in current], states,
+                               form=form, lut=lut, moe_sel=sel)
+        if mole_lut:
+            meter.add(step, lanes, lanes * lut_row_elements, 0, nbytes=lut.bytes_read - before)
+        elif sel is not None:
+            # row b of a step is lane b; the cache sees the layers in order,
+            # so its random draws do not depend on how lanes are batched
+            loaded = sum(len(cache_update(cache_states[i], [set(r.tolist()) for r in layer_sel],
+                                          lanes))
+                         for i, layer_sel in enumerate(sel))
             meter.add(step, lanes, loaded * _expert_elements(cfg), loaded)
         else:
-            logits_rows = [
-                forward_tokens(params, [current[lane]], states[lane], form=form, lut=lut)[-1]
-                for lane in range(lanes)
-            ]
             meter.add(step, lanes, 0, 0)
-        current = [greedy_pick(row) for row in logits_rows]
+        current = [greedy_pick(row) for row in logits]
     return DecodeResult(tokens=tokens, meter=meter)
-
-
-def _mole_lut_step(
-    params: ModelParams,
-    current: list[int],
-    states: list[DecodeState],
-    lut,
-) -> tuple[list[np.ndarray], int]:
-    """One decode step, layer-major: prefetch rows at layer entry, compute
-    attention and the shared expert, await, combine."""
-    cfg = params.cfg
-    lanes = len(current)
-    ids = np.asarray(current)
-    xs = [embed(params, np.asarray([[tok]])) for tok in current]
-    elements = 0
-    for i in range(cfg.L):
-        lv = params.layer(i)
-        ticket = lut.prefetch(i, ids)
-        hn = []
-        shared = []
-        gates = []
-        for b in range(lanes):
-            st = states[b]
-            pos = np.arange(st.position, st.position + 1)
-            xs[b] = attention_forward(lv, xs[b], pos, kv=st.kv[i])
-            h = rmsnorm(xs[b], lv.norm_gain("post_attn_norm"), RMS_EPS)
-            hn.append(h)
-            gates.append(softmax(matmul(h, lv.router.T)))
-            shared.append(ffn_forward(h, lv.shared_w1, lv.shared_b1,
-                                      lv.shared_w2, lv.shared_b2))
-        rows = lut.await_rows(ticket)  # (lanes, N, d)
-        elements += lanes * cfg.N * cfg.d
-        for b in range(lanes):
-            lane_rows = rows[b].astype(xs[b].dtype).reshape(cfg.N, 1, 1, cfg.d)
-            xs[b] = xs[b] + shared[b] + combine_expert_rows(gates[b], lane_rows)
-    logits_rows = []
-    for b in range(lanes):
-        states[b].position += 1
-        xf = rmsnorm(xs[b], params.tensors["final_norm.gain"], RMS_EPS)
-        logits_rows.append(matmul(xf, params.tensors["lm_head"])[0, -1])
-    return logits_rows, elements
-
-
-def _moe_offload_step(
-    params: ModelParams,
-    current: list[int],
-    states: list[DecodeState],
-    cache_states: list[ExpertCacheState],
-    lanes: int,
-) -> tuple[list[np.ndarray], int]:
-    """One decode step; after routing, any selected expert missing from the
-    layer's cache is loaded and metered."""
-    cfg = params.cfg
-    xs = [embed(params, np.asarray([[tok]])) for tok in current]
-    total_loads = 0
-    for i in range(cfg.L):
-        lv = params.layer(i)
-        activated: list[set[int]] = []
-        for b in range(lanes):
-            st = states[b]
-            pos = np.arange(st.position, st.position + 1)
-            xs[b] = attention_forward(lv, xs[b], pos, kv=st.kv[i])
-            lc: dict = {}
-            xs[b] = moe_layer_forward(lv, xs[b], cache=lc)
-            activated.append(set(int(j) for j in lc["sel"].reshape(-1)))
-        loads = cache_update(cache_states[i], activated, lanes)
-        total_loads += len(loads)
-    logits_rows = []
-    for b in range(lanes):
-        states[b].position += 1
-        xf = rmsnorm(xs[b], params.tensors["final_norm.gain"], RMS_EPS)
-        logits_rows.append(matmul(xf, params.tensors["lm_head"])[0, -1])
-    return logits_rows, total_loads
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 from scipy.special import erf
 
-FLOAT_DTYPES = (np.float32, np.float64)
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 # Rows per BLAS call in ``matmul``. 8, 16, 32 and 64 all pass the probe on
 # OpenBLAS 0.3.31 (Haswell kernels) and ran the benchmark's train and decode
@@ -45,7 +45,7 @@ class ShapeError(ValueError):
 
 
 def _check_float(x: np.ndarray, name: str) -> None:
-    if x.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+    if x.dtype not in FLOAT_DTYPES:
         raise TypeError(f"{name} must be float32 or float64, got {x.dtype}")
 
 
@@ -59,7 +59,10 @@ def _check_operands(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner extents disagree: {a.shape} @ {b.shape}")
-    return np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    lead_a, lead_b = a.shape[:-2], b.shape[:-2]
+    if lead_a == lead_b or not lead_b:
+        return lead_a
+    return lead_b if not lead_a else np.broadcast_shapes(lead_a, lead_b)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import worker_threads
 from .reparam import LutTable
 
 MAGIC = b"MOLELUT1"
@@ -302,6 +303,8 @@ class LutHandle:
 
     def __init__(self, path: str | Path, threads: int | None = None):
         self.path = Path(path)
+        if threads is None:
+            threads = worker_threads()
         size = self.path.stat().st_size
         with open(self.path, "rb") as f:
             head = f.read(HEADER_SIZE)
@@ -334,8 +337,6 @@ class LutHandle:
         self._file = open(self.path, "rb")
         self._lock = threading.Lock()
         self.bytes_read = 0
-        if threads is None:
-            threads = _env_threads()
         self._pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
     def close(self) -> None:
@@ -350,16 +351,18 @@ class LutHandle:
     def __exit__(self, *exc):
         self.close()
 
-    def _decode_record(self, raw: bytes) -> np.ndarray:
+    def _decode_records(self, buf: np.ndarray) -> np.ndarray:
+        """(n, record_bytes) raw uint8 records -> (n, N, d) float32 rows."""
         h = self.header
+        shape = (buf.shape[0], h.n_experts, h.d)
         if h.dtype == "fp32":
-            return np.frombuffer(raw, dtype="<f4").reshape(h.n_experts, h.d).copy()
+            return buf.view("<f4").reshape(shape).astype(np.float32, copy=False)
         if h.dtype == "fp16":
-            return np.frombuffer(raw, dtype="<f2").reshape(h.n_experts, h.d).astype(np.float32)
+            return buf.view("<f2").reshape(shape).astype(np.float32)
         bits = QUANT_BITS[h.dtype]
         n_blocks = h.d // h.block_size
         block_bytes = 2 + bits * h.block_size // 8
-        blob = np.frombuffer(raw, dtype=np.uint8).reshape(h.n_experts, n_blocks, block_bytes)
+        blob = buf.reshape(shape[:2] + (n_blocks, block_bytes))
         scales = blob[..., :2].copy().view("<f2")[..., 0]
         codes = _unpack_codes(np.ascontiguousarray(blob[..., 2:]), bits, h.block_size)
         return _dequantize_blocks(scales, codes, h.dtype)
@@ -367,24 +370,27 @@ class LutHandle:
     def gather(self, layer: int, ids: np.ndarray) -> np.ndarray:
         """Rows for the requested token ids: (len(ids), N, d) float32.
 
-        Repeated ids are re-read (and re-counted) per request; the transfer
-        meter moves by exactly the payload bytes read.
-        """
+        Each requested id is one read into a shared buffer, decoded in one
+        pass; repeated ids are re-read and re-counted, so the transfer meter
+        moves by exactly the payload bytes read."""
         h = self.header
         ids = np.atleast_1d(np.asarray(ids))
         if not (0 <= layer < h.n_layers):
             raise IndexError(f"layer {layer} out of range [0, {h.n_layers})")
         if ids.size and (ids.min() < 0 or ids.max() >= h.vocab):
             raise IndexError(f"token id out of range [0, {h.vocab})")
-        out = np.empty((ids.size, h.n_experts, h.d), dtype=np.float32)
+        size = self._record_bytes
+        buf = np.empty((ids.size, size), dtype=np.uint8)
+        base = HEADER_SIZE + layer * self._layer_bytes
         with self._lock:
-            for n, i in enumerate(ids):
-                off = HEADER_SIZE + layer * self._layer_bytes + int(i) * self._record_bytes
-                self._file.seek(off)
-                raw = self._file.read(self._record_bytes)
-                self.bytes_read += len(raw)
-                out[n] = self._decode_record(raw)
-        return out
+            for n, i in enumerate(ids.ravel().tolist()):
+                self._file.seek(base + i * size)
+                got = self._file.readinto(buf[n])
+                self.bytes_read += got
+                if got != size:
+                    raise PayloadLengthError(f"{self.path}: short read at token {i} "
+                                             f"of layer {layer} ({got} of {size} bytes)")
+        return self._decode_records(buf)
 
     def prefetch(self, layer: int, ids: np.ndarray) -> FetchTicket:
         """Begin fetching rows; await_rows(ticket) yields exactly what
@@ -403,13 +409,6 @@ class LutHandle:
         if ticket._future is not None:
             return ticket._future.result()
         return ticket._lazy_fn()
-
-
-def _env_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MOLE_RT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def open_lut(path: str | Path, threads: int | None = None) -> LutHandle:

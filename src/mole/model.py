@@ -22,6 +22,7 @@ the shape mirror for gradients and optimizer state.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,16 +217,20 @@ def attention_forward(
     layer: LayerView,
     x: np.ndarray,
     positions: np.ndarray,
-    kv: dict | None = None,
+    kv: dict | list[dict] | None = None,
     cache: dict | None = None,
+    bounds: np.ndarray | None = None,
 ) -> np.ndarray:
     """Residual attention sub-layer: x + Attn(input_norm(x)).
 
-    ``positions`` are the absolute positions of the rows of ``x``. With
-    ``kv`` (keys/values of earlier positions, dict with "k"/"v" of shape
-    (B, H, P, d_head)), the new keys/values are appended and attention spans
-    the whole prefix — a single-token call then reproduces the full-sequence
-    result for that position exactly.
+    ``positions`` are the absolute positions of the rows of ``x``. Without
+    ``kv``, each sequence of ``x`` (B, T, d) attends causally over its own
+    rows and ``cache`` receives what backprop needs. With ``kv``, ``x``
+    (1, R, d) packs the new rows of several lanes: lane b owns rows
+    ``bounds[b]:bounds[b + 1]`` and ``kv[b]`` is its cache ("k"/"v" of shape
+    (1, H, capacity, d_head), "len"); a single dict is one lane owning every
+    row. New keys/values are appended and each lane attends over its own
+    prefix (see ``_attend_lanes``), so a lane gets the bits it gets alone.
     """
     cfg = layer.cfg
     b, t, d = x.shape
@@ -239,32 +244,68 @@ def attention_forward(
     q = apply_rotary(q.transpose(0, 2, 1, 3), positions, cfg.rotary_fraction).transpose(0, 2, 1, 3)
     k_ = apply_rotary(k_.transpose(0, 2, 1, 3), positions, cfg.rotary_fraction).transpose(0, 2, 1, 3)
 
-    if kv is not None:
-        past = kv["len"]
-        kv["k"][:, :, past : past + t] = k_
-        kv["v"][:, :, past : past + t] = v
-        kv["len"] = past + t
-        keys = kv["k"][:, :, : past + t]
-        vals = kv["v"][:, :, : past + t]
-        key_positions = np.arange(past + t)
-    else:
-        keys, vals = k_, v
-        key_positions = positions
-
     scale = x.dtype.type(1.0 / np.sqrt(cfg.d_head))
-    scores = matmul(q, keys.transpose(0, 1, 3, 2)) * scale
-    # causal mask: query at position p attends to key positions <= p
-    mask = key_positions[None, :] > np.asarray(positions)[:, None]
-    scores = np.where(mask[None, None], x.dtype.type(-np.inf), scores)
-    probs = softmax(scores)
-    ctx = matmul(probs, vals)
+    if kv is None:
+        # causal mask: query at position p attends to key positions <= p
+        mask = np.asarray(positions)[None, :] > np.asarray(positions)[:, None]
+        probs, ctx = _attend(q, k_, v, mask, scale)
+    else:
+        if cache is not None:
+            raise ValueError("attention cache needs the full-sequence form (kv=None)")
+        if b != 1:
+            raise ShapeError(f"packed lanes need x of shape (1, R, d), got {x.shape}")
+        if isinstance(kv, dict):
+            kv, bounds = [kv], (0, t)
+        ctx = _attend_lanes(q, k_, v, kv, bounds, scale)
     merged = merge_heads(ctx)
     attn_out = matmul(merged, layer.attn_wo) + layer.attn_bo
     out = x + attn_out
     if cache is not None:
-        cache.update(x_in=x, xn=xn, q=q, keys=keys, vals=vals,
+        cache.update(x_in=x, xn=xn, q=q, keys=k_, vals=v,
                      probs=probs, merged=merged, positions=positions)
     return out
+
+
+def _attend(q, keys, vals, mask, scale):
+    """Softmax attention core over the last two axes; ``mask`` (Tq, Tk) is
+    True where a query must not see a key. Returns (probs, context)."""
+    scores = matmul(q, keys.transpose(0, 1, 3, 2)) * scale
+    scores = np.where(mask[None, None], q.dtype.type(-np.inf), scores)
+    probs = softmax(scores)
+    return probs, matmul(probs, vals)
+
+
+def _attend_lanes(q, k_, v, kv, bounds, scale):
+    """Append each lane's new keys/values to its cache, then run the
+    attention core once per group of lanes with equal (cached, new) lengths.
+
+    Within a group every lane has the same shapes and causal mask, and the
+    stacked ``matmul`` computes each lane's matrices on their own, so
+    grouping changes no bits."""
+    h, dh = q.shape[1], q.shape[3]
+    bounds = np.asarray(bounds)
+    edges = bounds.tolist()
+    groups: dict[tuple[int, int], list[int]] = {}
+    for lane, c in enumerate(kv):
+        lo, hi = edges[lane], edges[lane + 1]
+        past = c["len"]
+        if past + hi - lo > c["k"].shape[2]:
+            raise ShapeError("KV cache capacity exceeded")
+        c["k"][:, :, past : past + hi - lo] = k_[:, :, lo:hi]
+        c["v"][:, :, past : past + hi - lo] = v[:, :, lo:hi]
+        c["len"] = past + hi - lo
+        groups.setdefault((past, hi - lo), []).append(lane)
+    ctx = np.empty_like(q)
+    for (past, n), lanes in groups.items():
+        span = past + n
+        rows = (bounds[lanes][:, None] + np.arange(n)).ravel()
+        qg = q[0][:, rows].reshape(h, len(lanes), n, dh).transpose(1, 0, 2, 3)
+        keys = np.concatenate([kv[b]["k"][:, :, :span] for b in lanes])
+        vals = np.concatenate([kv[b]["v"][:, :, :span] for b in lanes])
+        mask = np.arange(span)[None, :] > np.arange(past, span)[:, None]
+        _, ctx_g = _attend(qg, keys, vals, mask, scale)
+        ctx[0][:, rows] = ctx_g.transpose(1, 0, 2, 3).reshape(h, len(lanes) * n, dh)
+    return ctx
 
 
 def ffn_forward(
@@ -380,18 +421,22 @@ def mole_layer_forward_train(
 def mole_layer_forward_infer(
     layer: LayerView,
     x: np.ndarray,
-    rows: np.ndarray,
+    rows: np.ndarray | Callable[[], np.ndarray],
 ) -> np.ndarray:
     """LUT-form mole sub-layer; ``rows`` are pre-computed expert outputs
-    (N, ..., d) fetched for the current token ids."""
+    (N, ..., d) fetched for the current token ids, or a no-argument callable
+    returning them. The callable runs after the shared expert, so a fetch in
+    flight overlaps the router and the shared expert."""
     cfg = layer.cfg
-    if rows.shape[0] != cfg.N:
-        raise ShapeError(f"expected {cfg.N} expert rows, got {rows.shape[0]}")
     hn = rmsnorm(x, layer.norm_gain("post_attn_norm"), RMS_EPS)
     logits = matmul(hn, layer.router.T)
     gates = softmax(logits)
     shared = ffn_forward(hn, layer.shared_w1, layer.shared_b1,
                          layer.shared_w2, layer.shared_b2)
+    if callable(rows):
+        rows = rows()
+    if rows.shape[0] != cfg.N:
+        raise ShapeError(f"expected {cfg.N} expert rows, got {rows.shape[0]}")
     routed = combine_expert_rows(gates, rows)
     return x + shared + routed
 
@@ -416,13 +461,6 @@ def embed(params: ModelParams, ids: np.ndarray) -> np.ndarray:
     if ids.size and (ids.min() < 0 or ids.max() >= emb.shape[0]):
         raise IndexError(f"token id out of range [0, {emb.shape[0]})")
     return emb[ids]
-
-
-class LutRows:
-    """Protocol shim: anything with gather(layer, ids) -> (len(ids), N, d)."""
-
-    def gather(self, layer: int, ids: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
 
 
 def model_forward(
@@ -496,7 +534,6 @@ class DecodeState:
 
     kv: list[dict] = field(default_factory=list)  # per layer: {"k","v","len"}
     position: int = 0
-    generated: list[int] = field(default_factory=list)
 
 
 def init_decode_state(params: ModelParams, max_len: int) -> DecodeState:
@@ -511,44 +548,72 @@ def init_decode_state(params: ModelParams, max_len: int) -> DecodeState:
     return state
 
 
-def forward_tokens(
+def forward_tokens(params: ModelParams, ids, state: DecodeState | list[DecodeState],
+                   form: str = "train_form", lut=None) -> np.ndarray:
+    """Run new tokens through the model, extending the KV caches. One lane:
+    ``ids`` (T,) and a DecodeState, returning logits (T, vocab). Several:
+    per-lane id arrays and DecodeStates, run by ``forward_lanes``."""
+    if isinstance(state, DecodeState):
+        return forward_lanes(params, [ids], [state], form=form, lut=lut)
+    return forward_lanes(params, ids, state, form=form, lut=lut)
+
+
+def forward_lanes(
     params: ModelParams,
-    ids: np.ndarray,
-    state: DecodeState,
+    ids: list,
+    states: list[DecodeState],
     form: str = "train_form",
     lut=None,
+    moe_sel: list | None = None,
 ) -> np.ndarray:
-    """Run ``ids`` (T,) through the model for one lane, extending the KV
-    caches in ``state``. Returns logits (T, vocab). Used for both prefill
-    (T = prompt length) and single-token decode (T = 1)."""
+    """One packed forward over the new tokens ``ids[b]`` of each lane b,
+    appended to ``states[b]``; returns logits (R, vocab), lane by lane.
+
+    The R new rows form one (1, R, d) block with per-row positions, so every
+    row-wise op (norms, projections, rotary, router, FFNs, LUT combine,
+    top-k experts, head) runs once over all rows. Only the attention core is
+    per lane group. ``matmul`` fixes each row's reduction whatever the row
+    count and no lane is padded, so each lane gets the bits it gets alone.
+    mole ``lut_form`` prefetches all R rows per layer at layer entry and
+    awaits them after attention and the shared expert. ``moe_sel`` (a list)
+    receives each moe layer's top-k selection (R, k), in layer order.
+    """
     cfg = params.cfg
-    ids = np.asarray(ids).reshape(1, -1)
-    t = ids.shape[1]
-    if state.position + t > state.kv[0]["k"].shape[2]:
-        raise ShapeError("decode state capacity exceeded")
-    if state.kv[0]["len"] != state.position:
-        raise ShapeError("cache length disagrees with current position")
-    x = embed(params, ids)
+    ids = [np.ravel(np.asarray(t)) for t in ids]
+    lens = [t.size for t in ids]
+    for st, n in zip(states, lens):
+        if st.position + n > st.kv[0]["k"].shape[2]:
+            raise ShapeError("decode state capacity exceeded")
+        if st.kv[0]["len"] != st.position:
+            raise ShapeError("cache length disagrees with current position")
+    flat = np.concatenate(ids)
+    bounds = np.concatenate(([0], np.cumsum(lens)))
+    positions = np.concatenate([np.arange(st.position, st.position + n)
+                                for st, n in zip(states, lens)])
+    x = embed(params, flat[None, :])
     e_rows = x
-    positions = np.arange(state.position, state.position + t)
     mole_lut = cfg.variant == "mole" and form == "lut_form"
     for i in range(cfg.L):
         lv = params.layer(i)
-        x = attention_forward(lv, x, positions, kv=state.kv[i])
+        ticket = lut.prefetch(i, flat) if mole_lut else None
+        x = attention_forward(lv, x, positions, kv=[st.kv[i] for st in states], bounds=bounds)
         if cfg.variant == "dense":
             x = dense_layer_forward(lv, x)
         elif cfg.variant == "moe":
-            x = moe_layer_forward(lv, x)
+            lc = {} if moe_sel is not None else None
+            x = moe_layer_forward(lv, x, cache=lc)
+            if lc is not None:
+                moe_sel.append(lc["sel"][0])
         elif mole_lut:
-            rows = lut.gather(i, ids.reshape(-1))
-            rows = rows.transpose(1, 0, 2).reshape(cfg.N, 1, t, cfg.d).astype(x.dtype)
-            x = mole_layer_forward_infer(lv, x, rows)
+            # (R, N, d) table rows -> (N, 1, R, d), awaited inside the layer
+            x = mole_layer_forward_infer(lv, x, lambda t=ticket: lut.await_rows(t).transpose(
+                1, 0, 2)[:, None].astype(params.dtype))
         else:
             x = mole_layer_forward_train(lv, x, e_rows)
-    state.position += t
+    for st, n in zip(states, lens):
+        st.position += n
     xf = rmsnorm(x, params.tensors["final_norm.gain"], RMS_EPS)
-    logits = matmul(xf, params.tensors["lm_head"])
-    return logits[0]
+    return matmul(xf, params.tensors["lm_head"])[0]
 
 
 def greedy_pick(logits_row: np.ndarray) -> int:

@@ -12,23 +12,13 @@ re-computing any single row on its own. Table size depends only on
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import worker_threads
 from .model import ModelParams, mole_expert_rows, model_forward, param_names
-
-THREADS_ENV = "MOLE_RT_THREADS"
-
-
-def worker_threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
 
 @dataclass
 class LutTable:

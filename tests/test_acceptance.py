@@ -75,10 +75,6 @@ class TestCriterion1Equivalence:
         )
 
 
-class InMemoryLutWithMeter(InMemoryLut):
-    pass
-
-
 class TestCriterion2PaperTable:
     def test_all_cells(self):
         cells = paper_check()

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mole import config
 from mole.cli import main
 from mole.lut_store import write_lut
 from mole.reparam import LutTable
@@ -128,6 +129,12 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "n_experts 3 (checkpoint has 2)" in err
 
+    def test_bad_thread_count_exit_2_names_variable(self, trained, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setenv("MOLE_RT_THREADS", "abc")
+        assert run(["reparam", "--checkpoint", trained, "--out", tmp_path / "t.lut"]) == 2
+        assert "MOLE_RT_THREADS" in capsys.readouterr().err
+
     def test_dense_checkpoint_reparam_refused(self, tmp_path, capsys):
         cfg = {
             "model": {"variant": "dense", "L": 1, "d": 32, "n_heads": 4,
@@ -202,3 +209,23 @@ class TestBenchAndReport:
 
     def test_unknown_preset_exit_2(self, capsys):
         assert run(["bench", "--runtime", "dense", "--preset", "nope"]) == 2
+
+
+class TestWorkerThreads:
+    def test_default_is_one(self, monkeypatch):
+        monkeypatch.delenv("MOLE_RT_THREADS", raising=False)
+        assert config.worker_threads() == 1
+
+    @pytest.mark.parametrize("raw", ["abc", "", "2.5", "0", "-3", "1e3"])
+    def test_rejects_what_is_not_a_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("MOLE_RT_THREADS", raw)
+        with pytest.raises(ValueError, match="MOLE_RT_THREADS"):
+            config.worker_threads()
+
+    @pytest.mark.parametrize("raw, cpus, want", [("1", 8, 1), ("3", 8, 3), ("8", 8, 8),
+                                                 ("9", 8, 8), ("100000", 4, 4),
+                                                 ("2", None, 1)])
+    def test_capped_at_cpu_count(self, monkeypatch, raw, cpus, want):
+        monkeypatch.setenv("MOLE_RT_THREADS", raw)
+        monkeypatch.setattr(config.os, "cpu_count", lambda: cpus)
+        assert config.worker_threads() == want

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import tiny_dense, tiny_moe, tiny_mole
 
+from mole import engine, kernels
 from mole.analyst import BandwidthModel
 from mole.config import toy_config
 from mole.engine import (
@@ -199,3 +200,125 @@ class TestGreedyDecode:
         row_bytes = (p.cfg.d // 8) * (2 + 3)
         want = 1 * p.cfg.N * p.cfg.L * row_bytes
         assert all(r.bytes == want for r in res.meter.decode_records())
+
+
+def recorded_decode(params, prompts, steps, runtime, lut=None, seed=0):
+    """greedy_decode, also returning every logits row it picked from (per
+    lane, prefill row first), each lane's KV cache bytes, and the activated
+    expert sets handed to the moe-offload cache (per step, layer, lane)."""
+    picked, states, activated = [], [], []
+    pick, init, update = engine.greedy_pick, engine.init_decode_state, engine.cache_update
+
+    def record_pick(row):
+        picked.append(row.tobytes())
+        return pick(row)
+
+    def record_init(p, n):
+        states.append(init(p, n))
+        return states[-1]
+
+    def record_update(state, lanes, batch):
+        activated.append([set(lane) for lane in lanes])
+        return update(state, lanes, batch)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "greedy_pick", record_pick)
+        mp.setattr(engine, "init_decode_state", record_init)
+        mp.setattr(engine, "cache_update", record_update)
+        res = greedy_decode(params, prompts, steps, runtime=runtime, lut=lut, seed=seed)
+    lanes = len(prompts)
+    logits = [picked[b::lanes] for b in range(lanes)]
+    kv = [[(c["k"].tobytes(), c["v"].tobytes(), c["len"]) for c in s.kv] for s in states]
+    layers = params.cfg.L
+    routing = [activated[s * layers:(s + 1) * layers] for s in range(steps)]
+    return res, logits, kv, routing
+
+
+RUNTIMES = [("dense", None), ("moe", None), ("moe-offload", None), ("mole-train", None),
+            ("mole-lut", ("fp32", 0)), ("mole-lut", ("nf4", 8))]
+# prompt lengths: distinct, all shared (one attention group), and mixed
+LANE_LENGTHS = [(5, 1, 3, 8), (4, 4, 4), (2, 6, 2, 6, 1)]
+
+
+class TestPackedLanes:
+    """Decoding lanes together gives each lane the bits it gets alone."""
+
+    def _setup(self, runtime, lut_dtype, tmp_path):
+        if runtime == "dense":
+            return tiny_dense(), None
+        if runtime.startswith("moe"):
+            return tiny_moe(), None
+        if runtime == "mole-train":
+            return tiny_mole(), None
+        p, infer, path = mole_lut_setup(tmp_path, dtype=lut_dtype[0], block=lut_dtype[1])
+        return infer, path
+
+    def _check(self, tmp_path, runtime, lut_dtype, lengths, steps=4):
+        params, path = self._setup(runtime, lut_dtype, tmp_path)
+        rng = np.random.default_rng(sum(lengths))
+        prompts = [rng.integers(0, params.cfg.vocab, size=n) for n in lengths]
+
+        def decode(lanes):
+            lut = open_lut(path) if path else None
+            try:
+                return recorded_decode(params, lanes, steps, runtime, lut, seed=4)
+            finally:
+                if lut is not None:
+                    lut.close()
+
+        together, logits, kv, routing = decode(prompts)
+        alone = [decode([p]) for p in prompts]
+        for b, (res, lane_logits, lane_kv, lane_routing) in enumerate(alone):
+            assert together.tokens[b] == res.tokens[0]
+            assert logits[b] == lane_logits[0]  # prefill row and every step, byte for byte
+            assert kv[b] == lane_kv[0]
+            assert [[layer[b] for layer in step] for step in routing] == \
+                   [[layer[0] for layer in step] for step in lane_routing]
+        return params, prompts, together, [a[0] for a in alone], routing
+
+    @pytest.mark.parametrize("lengths", LANE_LENGTHS)
+    @pytest.mark.parametrize("runtime, lut_dtype", RUNTIMES)
+    def test_lanes_together_equal_lanes_alone(self, tmp_path, runtime,
+                                              lut_dtype, lengths):
+        params, prompts, together, alone, routing = self._check(
+            tmp_path, runtime, lut_dtype, lengths)
+        cfg = params.cfg
+        records = together.meter.records
+        assert [r.step for r in records] == list(range(-1, 4))
+        if runtime == "mole-lut":
+            row_bytes = 4 * cfg.d if lut_dtype[0] == "fp32" else (cfg.d // 8) * (2 + 4)
+            assert records[0].bytes == sum(lengths) * cfg.N * cfg.L * row_bytes
+            assert all(r.bytes == len(lengths) * cfg.N * cfg.L * row_bytes
+                       for r in records[1:])
+            # repeats are charged again: together costs what the lanes cost alone
+            assert [r.bytes for r in records] == \
+                   [sum(a.meter.records[s].bytes for a in alone) for s in range(5)]
+        elif runtime == "moe-offload":
+            # the cache policy applied to the per-lane activated sets, layer by layer
+            want = simulate_transfer_meter(cfg, len(prompts), 4, seed=4,
+                                           bytes_per_element=4, routing_trace=routing)
+            got = together.meter.decode_records()
+            assert [(r.bytes, r.experts_loaded) for r in got] == \
+                   [(r.bytes, r.experts_loaded) for r in want.records]
+            assert records[0].bytes == 0
+        else:
+            assert together.meter.total_bytes == 0
+
+    def test_one_lane_moe_offload_meter_follows_cache_policy(self):
+        p = tiny_moe()
+        prompt = [np.array([3, 1, 4, 1, 5])]
+        res, _, _, routing = recorded_decode(p, prompt, 6, "moe-offload", seed=2)
+        want = simulate_transfer_meter(p.cfg, 1, 6, seed=2, bytes_per_element=4,
+                                       routing_trace=routing)
+        assert [(r.bytes, r.experts_loaded) for r in res.meter.decode_records()] == \
+               [(r.bytes, r.experts_loaded) for r in want.records]
+        assert all(len(lane) == p.cfg.k for step in routing for layer in step for lane in layer)
+        assert res.tokens == greedy_decode(p, prompt, 6, runtime="moe").tokens
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("runtime, lut_dtype", [("mole-train", None), ("mole-lut", ("fp32", 0))])
+    def test_under_sequential_fallback(self, monkeypatch, tmp_path, runtime, lut_dtype):
+        monkeypatch.setattr(kernels, "_rows_invariant", lambda dtype: False)
+        monkeypatch.setattr(kernels, "_backends", {})
+        self._check(tmp_path, runtime, lut_dtype, LANE_LENGTHS[2])
+        assert kernels.backend(np.float32) == kernels.SEQUENTIAL

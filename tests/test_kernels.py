@@ -147,6 +147,34 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             matmul(np.zeros((2, 3), np.float32), np.zeros((4, 2), np.float32))
 
+    @pytest.mark.parametrize("dtype", [">f4", ">f8", "float16"])
+    @pytest.mark.parametrize("fn", [matmul, matmul_sequential])
+    def test_other_float_dtypes_rejected(self, fn, dtype):
+        good = np.zeros((2, 3), np.float32)
+        bad = np.zeros((3, 2), dtype)
+        for a, b in ((good, bad), (bad.T, good.T)):
+            with pytest.raises(TypeError, match="must be float32 or float64"):
+                fn(a, b)
+        with pytest.raises(TypeError, match="must be float32 or float64"):
+            softmax(bad)
+
+    @pytest.mark.parametrize("lead_a, lead_b", [((2,), (3,)), ((2, 3), (4,)), ((5, 1), (2, 3))])
+    def test_incompatible_leading_shapes_rejected(self, lead_a, lead_b):
+        a = np.zeros(lead_a + (4, 5), np.float32)
+        b = np.zeros(lead_b + (5, 6), np.float32)
+        with pytest.raises(ValueError, match="cannot be broadcast"):
+            matmul(a, b)
+
+    @pytest.mark.parametrize("lead_a, lead_b", [((), (3,)), ((3,), ()), ((2, 3), (2, 3)),
+                                                ((2, 1), (1, 3)), ((3,), (2, 1))])
+    def test_leading_shapes_broadcast(self, lead_a, lead_b):
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal(lead_a + (4, 5)).astype(np.float32)
+        b = rng.standard_normal(lead_b + (5, 6)).astype(np.float32)
+        want = np.broadcast_shapes(lead_a, lead_b) + (4, 6)
+        assert matmul(a, b).shape == want
+        assert matmul_sequential(a, b).shape == want
+
 
 class TestSequentialFallback:
     """A BLAS that fails the row-invariance probe gets the sequential kernel."""

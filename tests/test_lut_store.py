@@ -30,6 +30,31 @@ from mole.lut_store import (
 from mole.reparam import LutTable, reparameterize
 
 
+def reference_record(path, layer, token):
+    """One token's (N, d) rows decoded on their own, straight from the file
+    bytes and the documented layout, one value at a time for quantized rows."""
+    _, _, _, vocab, n, d, code, block = struct.unpack_from("<8sIIIIIBI", path.read_bytes())
+    dtype = ("fp32", "fp16", "nf4", "nf3")[code]
+    if dtype in ("fp32", "fp16"):
+        width = 4 if dtype == "fp32" else 2
+        size = n * d * width
+        raw = path.read_bytes()[HEADER_SIZE + (layer * vocab + token) * size:][:size]
+        return np.frombuffer(raw, f"<f{width}").astype(np.float32).reshape(n, d)
+    bits = 4 if dtype == "nf4" else 3
+    block_bytes = 2 + bits * block // 8
+    size = n * (d // block) * block_bytes
+    raw = path.read_bytes()[HEADER_SIZE + (layer * vocab + token) * size:][:size]
+    out = np.empty(n * d, np.float32)
+    for b in range(n * d // block):
+        blob = raw[b * block_bytes:(b + 1) * block_bytes]
+        scale = np.float32(np.frombuffer(blob[:2], "<f2")[0])
+        for v in range(block):
+            c = sum(((blob[2 + (v * bits + k) // 8] >> ((v * bits + k) % 8)) & 1) << k
+                    for k in range(bits))
+            out[b * block + v] = CODEBOOKS[dtype][c] * scale
+    return out.reshape(n, d)
+
+
 def make_tables(seed=0, n_layers=2, vocab=11, n_experts=3, d=16):
     rng = np.random.default_rng(seed)
     return [
@@ -305,6 +330,21 @@ class TestGatherAndTickets:
         with pytest.raises(IndexError):
             h.gather(0, np.array([999]))
         h.close()
+
+    @pytest.mark.parametrize("dtype, block", [("fp32", 0), ("fp16", 0), ("nf4", 8), ("nf3", 8)])
+    def test_gather_equals_per_row_reference(self, tmp_path, dtype, block):
+        tables = make_tables(seed=4)
+        path = tmp_path / f"{dtype}.lut"
+        write_lut(tables, path, dtype=dtype, block_size=block)
+        ids = np.array([7, 0, 7, 10, 3, 7, 0])
+        with open_lut(path) as h:
+            got = h.gather(1, ids)
+            read = h.bytes_read
+        want = np.stack([reference_record(path, 1, int(i)) for i in ids])
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        record = lut_file_size(1, 1, 3, 16, dtype, block) - HEADER_SIZE
+        assert read == ids.size * record  # repeats read and charged again
 
     def test_read_all_tables(self, tmp_path):
         tables, h = self._handle(tmp_path)
