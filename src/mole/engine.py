@@ -4,11 +4,12 @@ Three real runtimes (they run the actual model):
   dense / moe / mole-train  -- everything resident, zero transfers; the
                                train-form mole runtime is the reference the
                                LUT runtime is checked against.
-  mole-lut                  -- routed experts replaced by an offloaded table:
-                               per layer, row fetches are issued at layer
-                               entry and awaited after the shared-expert
-                               computation; every step moves exactly
-                               lanes * N * d * L elements.
+  mole-lut                  -- routed experts replaced by an offloaded table,
+                               read through its row-source contract: per
+                               layer, a fetch is issued with ``prefetch`` at
+                               layer entry and its rows are taken with
+                               ``await_rows`` after the shared expert; every
+                               step moves exactly lanes * N * d * L elements.
   moe-offload               -- routed experts offloaded: selected experts
                                missing from the per-layer cache are loaded
                                (2 * d * D_r elements each) and the cache is
@@ -16,7 +17,8 @@ Three real runtimes (they run the actual model):
 
 All lanes decode together: prefill is one packed forward over every prompt
 token of every lane, and each step one packed forward over one new token
-per lane (``model.forward_lanes``). Row-wise work runs once over all rows;
+per lane (``model.forward_lanes``, which runs the layer loop of
+``model.model_forward`` over KV caches). Row-wise work runs once over all rows;
 only the attention core runs per group of lanes with equal (cached, new)
 lengths, and no lane is padded. Each lane therefore gets the bits it gets
 decoding alone, and the meter is what the lanes would be charged alone.

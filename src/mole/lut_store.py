@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
+from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import worker_threads
-from .reparam import LutTable
 
 MAGIC = b"MOLELUT1"
 VERSION = 1
@@ -114,17 +114,22 @@ class TicketError(RuntimeError):
     """A fetch ticket was awaited more than once."""
 
 
+@dataclass
+class LutTable:
+    """One layer's pre-computed expert outputs, shape (vocab, N, d)."""
+
+    layer_index: int
+    values: np.ndarray
+    precision: str = "fp32"
+
+    def __post_init__(self):
+        if self.values.ndim != 3:
+            raise ValueError(f"table must be (vocab, N, d), got {self.values.shape}")
+
+
 # ---------------------------------------------------------------------------
 # Blockwise quantization
 # ---------------------------------------------------------------------------
-
-@dataclass
-class QuantBlock:
-    """One quantized span: half-precision absmax scale + codebook indices."""
-
-    scale: np.float16
-    codes: np.ndarray  # uint8 indices into the codebook
-
 
 def _block_layout(dtype: str, block_size: int, d: int) -> int:
     """Bytes per (token, expert) row; validates the block geometry."""
@@ -169,24 +174,6 @@ def _dequantize_blocks(scales: np.ndarray, codes: np.ndarray, dtype: str) -> np.
     cb = CODEBOOKS[dtype]
     return (cb[codes] * scales.astype(np.float32)[..., None]).reshape(
         codes.shape[:-2] + (-1,))
-
-
-def quantize_row(values: np.ndarray, bits: int, block_size: int) -> list[QuantBlock]:
-    """Quantize one row of length d into QuantBlocks (nearest codebook entry
-    after absmax scaling)."""
-    dtype = {4: "nf4", 3: "nf3"}[bits]
-    values = np.asarray(values, dtype=np.float32)
-    _block_layout(dtype, block_size, values.shape[-1])
-    scales, codes = _quantize_blocks(values, dtype, block_size)
-    return [QuantBlock(np.float16(scales[b]), codes[b].copy())
-            for b in range(scales.shape[0])]
-
-
-def dequantize_row(blocks: list[QuantBlock], bits: int) -> np.ndarray:
-    dtype = {4: "nf4", 3: "nf3"}[bits]
-    cb = CODEBOOKS[dtype]
-    parts = [cb[blk.codes] * np.float32(blk.scale) for blk in blocks]
-    return np.concatenate(parts)
 
 
 def _pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
@@ -282,15 +269,22 @@ class LutFileHeader:
 
 
 class FetchTicket:
-    """Single-use completion handle for a prefetched row batch."""
+    """Single-use completion handle for a prefetched row batch: ``fetch`` is
+    a Future already running the read, or a no-argument callable doing it
+    when the rows are first asked for."""
 
-    def __init__(self, layer: int, ids: np.ndarray,
-                 future: Future | None, lazy_fn=None):
-        self.layer = layer
-        self.ids = ids
-        self._future = future
-        self._lazy_fn = lazy_fn
+    def __init__(self, fetch: Future | Callable[[], np.ndarray]):
+        self._fetch = fetch
         self._consumed = False
+
+    def result(self) -> np.ndarray:
+        """The fetched rows; a second call raises TicketError."""
+        if self._consumed:
+            raise TicketError("fetch ticket already consumed")
+        self._consumed = True
+        if isinstance(self._fetch, Future):
+            return self._fetch.result()
+        return self._fetch()
 
 
 class LutHandle:
@@ -397,18 +391,11 @@ class LutHandle:
         gather would. Service may be eager (worker thread) or lazy."""
         ids = np.atleast_1d(np.asarray(ids)).copy()
         if self._pool is not None:
-            future = self._pool.submit(self.gather, layer, ids)
-            return FetchTicket(layer, ids, future)
-        return FetchTicket(layer, ids, None,
-                           lazy_fn=lambda: self.gather(layer, ids))
+            return FetchTicket(self._pool.submit(self.gather, layer, ids))
+        return FetchTicket(lambda: self.gather(layer, ids))
 
     def await_rows(self, ticket: FetchTicket) -> np.ndarray:
-        if ticket._consumed:
-            raise TicketError("fetch ticket already consumed")
-        ticket._consumed = True
-        if ticket._future is not None:
-            return ticket._future.result()
-        return ticket._lazy_fn()
+        return ticket.result()
 
 
 def open_lut(path: str | Path, threads: int | None = None) -> LutHandle:

@@ -11,9 +11,13 @@ Variants:
             (see reparam / lut_store).
 
 Block layout is sequential (attention sub-layer, then expert sub-layer), with
-RMS pre-norms and residual connections around each. The training form and the
-LUT form share the expert-combination helper so that, given identical rows,
-they agree bit-for-bit.
+RMS pre-norms and residual connections around each. One layer loop serves the
+full-sequence forward (training, verification) and the packed-lane forward
+(prefill, decode); they differ only in how attention sees its keys. The mole
+training form and LUT form differ only in where the expert rows come from:
+expert FFNs on embedding rows, or a row source (``prefetch``/``await_rows``)
+reading pre-computed tables. Both combine the rows in one sub-layer, so given
+identical rows they agree bit-for-bit.
 
 Parameters live in a flat name -> ndarray dict (see ``init_params`` for the
 naming scheme); that representation doubles as the checkpoint manifest and as
@@ -167,12 +171,6 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
 # Routing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GateResult:
-    selected: tuple[int, ...]
-    gates: dict[int, float]
-
-
 def topk_select(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries along the last axis, ascending index
     order, ties broken toward the lower index."""
@@ -180,21 +178,23 @@ def topk_select(scores: np.ndarray, k: int) -> np.ndarray:
     return np.sort(order[..., :k], axis=-1)
 
 
-def route(router: np.ndarray, h_normed: np.ndarray, variant: str, k: int) -> GateResult:
-    """Gate a single position. moe: softmax over the k best scores only;
-    mole: softmax over all N scores."""
-    scores = matmul(h_normed[None, :], router.T)[0]
+def route(router: np.ndarray, h_normed: np.ndarray, variant: str, k: int
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gate every position of ``h_normed`` (..., d).
+
+    Returns (logits (..., N), selected experts, their gates). moe selects the
+    k best scores (ascending index) per position and softmaxes over those
+    only; mole selects all N experts, ``arange(N)`` for every position, and
+    softmaxes over all N scores.
+    """
+    logits = matmul(np.atleast_2d(h_normed), router.T).reshape(
+        h_normed.shape[:-1] + router.shape[:1])
     if variant == "mole":
-        gates = softmax(scores)
-        sel = tuple(range(scores.shape[0]))
-    elif variant == "moe":
-        sel_arr = topk_select(scores, k)
-        gates_sel = softmax(scores[sel_arr])
-        sel = tuple(int(j) for j in sel_arr)
-        gates = gates_sel
-    else:
-        raise ValueError(f"variant {variant!r} has no router")
-    return GateResult(sel, {j: float(g) for j, g in zip(sel, gates)})
+        return logits, np.arange(router.shape[0]), softmax(logits)
+    if variant == "moe":
+        sel = topk_select(logits, k)
+        return logits, sel, softmax(np.take_along_axis(logits, sel, axis=-1))
+    raise ValueError(f"variant {variant!r} has no router")
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +350,7 @@ def moe_layer_forward(
     """Top-k routed expert sub-layer (no shared expert): x + sum g_j FFN_j(hn)."""
     cfg = layer.cfg
     hn = rmsnorm(x, layer.norm_gain("post_attn_norm"), RMS_EPS)
-    logits = matmul(hn, layer.router.T)  # (B, T, N)
-    sel = topk_select(logits, cfg.k)  # (B, T, k)
-    sel_scores = np.take_along_axis(logits, sel, axis=-1)
-    gates = softmax(sel_scores)  # (B, T, k)
+    logits, sel, gates = route(layer.router, hn, "moe", cfg.k)  # (B, T, N), (B, T, k) x 2
     out = x.copy()
     expert_caches: list[dict] = [{} for _ in range(cfg.N)]
     for j in range(cfg.N):
@@ -397,47 +394,34 @@ def mole_expert_rows(
     return rows
 
 
-def mole_layer_forward_train(
-    layer: LayerView,
-    x: np.ndarray,
-    e_rows: np.ndarray,
-    cache: dict | None = None,
-) -> np.ndarray:
-    """Training-form mole sub-layer:
-    x + FFN_shared(post_attn_norm(x)) + sum_j g_j FFN_j(expert_norm(e)).
-    """
-    hn = rmsnorm(x, layer.norm_gain("post_attn_norm"), RMS_EPS)
-    logits = matmul(hn, layer.router.T)
-    gates = softmax(logits)
-    shared = ffn_forward(hn, layer.shared_w1, layer.shared_b1,
-                         layer.shared_w2, layer.shared_b2, cache=cache, tag="shared_")
-    rows = mole_expert_rows(layer, e_rows, cache=cache)
-    routed = combine_expert_rows(gates, rows)
-    if cache is not None:
-        cache.update(hn=hn, router_logits=logits, gates=gates, rows=rows)
-    return x + shared + routed
-
-
-def mole_layer_forward_infer(
+def mole_layer_forward(
     layer: LayerView,
     x: np.ndarray,
     rows: np.ndarray | Callable[[], np.ndarray],
+    cache: dict | None = None,
 ) -> np.ndarray:
-    """LUT-form mole sub-layer; ``rows`` are pre-computed expert outputs
-    (N, ..., d) fetched for the current token ids, or a no-argument callable
-    returning them. The callable runs after the shared expert, so a fetch in
-    flight overlaps the router and the shared expert."""
+    """mole expert sub-layer: x + FFN_shared(post_attn_norm(x)) + sum_j g_j rows[j].
+
+    ``rows`` (N, ..., d) are the routed-expert outputs for the current
+    tokens, or a no-argument callable returning them that runs after the
+    shared expert. The training form passes one running the expert FFNs on
+    the embedding rows (``mole_expert_rows``); the LUT form one awaiting the
+    table rows fetched since layer entry, so the fetch overlaps attention,
+    the router and the shared expert. Both forms combine here, so equal rows
+    give equal bits.
+    """
     cfg = layer.cfg
     hn = rmsnorm(x, layer.norm_gain("post_attn_norm"), RMS_EPS)
-    logits = matmul(hn, layer.router.T)
-    gates = softmax(logits)
+    logits, _, gates = route(layer.router, hn, "mole", cfg.N)
     shared = ffn_forward(hn, layer.shared_w1, layer.shared_b1,
-                         layer.shared_w2, layer.shared_b2)
+                         layer.shared_w2, layer.shared_b2, cache=cache, tag="shared_")
     if callable(rows):
         rows = rows()
     if rows.shape[0] != cfg.N:
         raise ShapeError(f"expected {cfg.N} expert rows, got {rows.shape[0]}")
     routed = combine_expert_rows(gates, rows)
+    if cache is not None:
+        cache.update(hn=hn, router_logits=logits, gates=gates, rows=rows)
     return x + shared + routed
 
 
@@ -471,48 +455,80 @@ def model_forward(
     cache: dict | None = None,
     collect_hidden: list | None = None,
 ) -> np.ndarray:
-    """logits (B, T, vocab) for a batch of full sequences.
+    """logits (B, T, vocab) for a batch of full sequences, each attending
+    causally over its own tokens.
 
     ``form`` selects the mole expert path: "train_form" runs the expert FFNs
     on embedding rows; "lut_form" fetches pre-computed rows from ``lut``
-    (an object with gather(layer, ids)). Dense and moe ignore ``form``.
+    (a row source: prefetch(layer, ids) and await_rows(ticket)). Dense and
+    moe ignore ``form``. ``cache`` (a dict) receives what backprop needs;
     ``collect_hidden`` (a list) receives the post-block hidden states, used
     by equivalence localization.
+    """
+    ids = np.atleast_2d(np.asarray(ids))
+    if ids.shape[1] > params.cfg.max_seq:
+        raise ShapeError(f"sequence length {ids.shape[1]} exceeds max_seq {params.cfg.max_seq}")
+    return _forward(params, ids, np.arange(ids.shape[1]), form, lut,
+                    cache=cache, collect_hidden=collect_hidden)
+
+
+def _forward(
+    params: ModelParams,
+    ids: np.ndarray,
+    positions: np.ndarray,
+    form: str,
+    lut,
+    kv: list[list[dict]] | None = None,
+    bounds: np.ndarray | None = None,
+    cache: dict | None = None,
+    collect_hidden: list | None = None,
+    moe_sel: list | None = None,
+) -> np.ndarray:
+    """The layer loop of both forward forms: logits (B, T, vocab) for token
+    ``ids`` (B, T) at absolute ``positions`` (T,).
+
+    Without ``kv`` every sequence attends causally over its own rows. With
+    ``kv`` (per layer, one cache per lane) ``ids`` is one (1, R) block of
+    packed lanes split by ``bounds``, and attention extends the caches (see
+    ``attention_forward``). mole LUT rows are prefetched for every id at
+    layer entry and awaited inside the expert sub-layer.
     """
     if form not in ("train_form", "lut_form"):
         raise ValueError(f"unknown form {form!r}")
     cfg = params.cfg
-    ids = np.atleast_2d(np.asarray(ids))
-    if ids.shape[1] > cfg.max_seq:
-        raise ShapeError(f"sequence length {ids.shape[1]} exceeds max_seq {cfg.max_seq}")
     mole_lut = cfg.variant == "mole" and form == "lut_form"
     if mole_lut and lut is None:
         raise ValueError("lut_form forward for a mole model needs a lut handle")
-    if cfg.variant == "mole" and form == "train_form" and params.inference_form:
+    if cfg.variant == "mole" and not mole_lut and params.inference_form:
         raise ValueError("train_form forward needs the routed expert tensors")
-    b, t = ids.shape
     x = embed(params, ids)
-    e_rows = x  # raw embedding rows, threaded into every block's expert path
-    positions = np.arange(t)
+    e_rows = x  # raw embedding rows, the input of every layer's mole experts
+    flat = ids.reshape(-1)
+    row_shape = (cfg.N,) + ids.shape + (cfg.d,)
     if cache is not None:
         cache.update(ids=ids, x0=x, layers=[])
     for i in range(cfg.L):
         lv = params.layer(i)
         lc: dict | None = {} if cache is not None else None
-        x = attention_forward(lv, x, positions, cache=lc)
-        if cache is not None:
+        ticket = lut.prefetch(i, flat) if mole_lut else None
+        x = attention_forward(lv, x, positions, kv=None if kv is None else kv[i],
+                              cache=lc, bounds=bounds)
+        if lc is not None:
             lc["x_mid"] = x
         if cfg.variant == "dense":
             x = dense_layer_forward(lv, x, cache=lc)
         elif cfg.variant == "moe":
-            x = moe_layer_forward(lv, x, cache=lc)
+            mc = {} if lc is None and moe_sel is not None else lc
+            x = moe_layer_forward(lv, x, cache=mc)
+            if moe_sel is not None:
+                moe_sel.append(mc["sel"].reshape(-1, cfg.k))
         elif mole_lut:
-            flat = ids.reshape(-1)
-            rows = lut.gather(i, flat)  # (B*T, N, d)
-            rows = rows.transpose(1, 0, 2).reshape(cfg.N, b, t, cfg.d).astype(x.dtype)
-            x = mole_layer_forward_infer(lv, x, rows)
+            # (B*T, N, d) table rows -> (N, B, T, d)
+            x = mole_layer_forward(lv, x, lambda t=ticket: lut.await_rows(t).transpose(
+                1, 0, 2).reshape(row_shape).astype(params.dtype), cache=lc)
         else:
-            x = mole_layer_forward_train(lv, x, e_rows, cache=lc)
+            x = mole_layer_forward(lv, x, lambda lv=lv, lc=lc: mole_expert_rows(
+                lv, e_rows, cache=lc), cache=lc)
         if cache is not None:
             cache["layers"].append(lc)
         if collect_hidden is not None:
@@ -574,9 +590,8 @@ def forward_lanes(
     top-k experts, head) runs once over all rows. Only the attention core is
     per lane group. ``matmul`` fixes each row's reduction whatever the row
     count and no lane is padded, so each lane gets the bits it gets alone.
-    mole ``lut_form`` prefetches all R rows per layer at layer entry and
-    awaits them after attention and the shared expert. ``moe_sel`` (a list)
-    receives each moe layer's top-k selection (R, k), in layer order.
+    The layer loop is ``model_forward``'s. ``moe_sel`` (a list) receives
+    each moe layer's top-k selection (R, k), in layer order.
     """
     cfg = params.cfg
     ids = [np.ravel(np.asarray(t)) for t in ids]
@@ -586,34 +601,15 @@ def forward_lanes(
             raise ShapeError("decode state capacity exceeded")
         if st.kv[0]["len"] != st.position:
             raise ShapeError("cache length disagrees with current position")
-    flat = np.concatenate(ids)
     bounds = np.concatenate(([0], np.cumsum(lens)))
     positions = np.concatenate([np.arange(st.position, st.position + n)
                                 for st, n in zip(states, lens)])
-    x = embed(params, flat[None, :])
-    e_rows = x
-    mole_lut = cfg.variant == "mole" and form == "lut_form"
-    for i in range(cfg.L):
-        lv = params.layer(i)
-        ticket = lut.prefetch(i, flat) if mole_lut else None
-        x = attention_forward(lv, x, positions, kv=[st.kv[i] for st in states], bounds=bounds)
-        if cfg.variant == "dense":
-            x = dense_layer_forward(lv, x)
-        elif cfg.variant == "moe":
-            lc = {} if moe_sel is not None else None
-            x = moe_layer_forward(lv, x, cache=lc)
-            if lc is not None:
-                moe_sel.append(lc["sel"][0])
-        elif mole_lut:
-            # (R, N, d) table rows -> (N, 1, R, d), awaited inside the layer
-            x = mole_layer_forward_infer(lv, x, lambda t=ticket: lut.await_rows(t).transpose(
-                1, 0, 2)[:, None].astype(params.dtype))
-        else:
-            x = mole_layer_forward_train(lv, x, e_rows)
+    logits = _forward(params, np.concatenate(ids)[None, :], positions, form, lut,
+                      kv=[[st.kv[i] for st in states] for i in range(cfg.L)],
+                      bounds=bounds, moe_sel=moe_sel)
     for st, n in zip(states, lens):
         st.position += n
-    xf = rmsnorm(x, params.tensors["final_norm.gain"], RMS_EPS)
-    return matmul(xf, params.tensors["lm_head"])[0]
+    return logits[0]
 
 
 def greedy_pick(logits_row: np.ndarray) -> int:

@@ -18,25 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import worker_threads
+from .lut_store import FetchTicket, LutTable
 from .model import ModelParams, mole_expert_rows, model_forward, param_names
-
-@dataclass
-class LutTable:
-    """One layer's pre-computed expert outputs, shape (vocab, N, d)."""
-
-    layer_index: int
-    values: np.ndarray
-    precision: str = "fp32"
-
-    def __post_init__(self):
-        if self.values.ndim != 3:
-            raise ValueError(f"table must be (vocab, N, d), got {self.values.shape}")
-
-
-class _MemTicket:
-    def __init__(self, fn):
-        self._fn = fn
-        self._consumed = False
 
 
 class InMemoryLut:
@@ -52,15 +35,12 @@ class InMemoryLut:
         self.bytes_read += rows.nbytes
         return rows
 
-    def prefetch(self, layer: int, ids: np.ndarray) -> _MemTicket:
+    def prefetch(self, layer: int, ids: np.ndarray) -> FetchTicket:
         ids = np.asarray(ids).copy()
-        return _MemTicket(lambda: self.gather(layer, ids))
+        return FetchTicket(lambda: self.gather(layer, ids))
 
-    def await_rows(self, ticket: _MemTicket) -> np.ndarray:
-        if ticket._consumed:
-            raise RuntimeError("fetch ticket already consumed")
-        ticket._consumed = True
-        return ticket._fn()
+    def await_rows(self, ticket: FetchTicket) -> np.ndarray:
+        return ticket.result()
 
 
 def build_layer_lut(
@@ -112,9 +92,18 @@ def reparameterize(params: ModelParams) -> tuple[ModelParams, list[LutTable]]:
     if params.inference_form:
         raise ValueError("model is already in inference form")
     tables = [build_layer_lut(params, i) for i in range(cfg.L)]
-    keep = set(param_names(cfg, inference_form=True))
-    weights = {k: v.copy() for k, v in params.tensors.items() if k in keep}
-    return ModelParams(cfg, weights, inference_form=True), tables
+    return inference_params(params).copy(), tables
+
+
+def inference_params(params: ModelParams) -> ModelParams:
+    """What the LUT form runs on: ``params`` without the routed experts and
+    the expert norm (router and shared expert kept), sharing the tensors.
+    Params already in inference form come back as they are."""
+    if params.inference_form:
+        return params
+    keep = set(param_names(params.cfg, inference_form=True))
+    return ModelParams(params.cfg, {k: v for k, v in params.tensors.items() if k in keep},
+                       inference_form=True)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 decoupled weight decay, warmup + cosine schedule, optional auxiliary router
 losses for the moe variant, and a finite-difference gradient checker.
 
-The backward pass mirrors ``model.model_forward`` exactly, consuming the
-activation cache that the forward records. mole trains with the language-
+The backward pass walks the layer loop that ``model.model_forward`` shares
+with decode in reverse, consuming the activation cache that the training-form
+forward records. mole trains with the language-
 model loss alone; the auxiliary z / load-balance terms exist as hooks for
 the moe variant and reproduce the pure-LM path bit-for-bit when their
 coefficients are zero.

@@ -101,6 +101,17 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "lane 0:" in out
 
+    def test_infer_accepts_stripped_checkpoint(self, trained, tmp_path, capsys):
+        lut = tmp_path / "model.lut"
+        run(["reparam", "--checkpoint", trained, "--out", lut])
+        capsys.readouterr()
+        streams = []
+        for ckpt in (trained, tmp_path / "model.lut.infer.ckpt"):
+            assert run(["infer", "--checkpoint", ckpt, "--lut", lut, "--runtime", "mole-lut",
+                        "--prompt", "1,2,3", "--prompt", "4,5", "--steps", "4"]) == 0
+            streams.append(capsys.readouterr().out)
+        assert streams[0] == streams[1] and "lane 1:" in streams[0]
+
     def test_corrupted_lut_verify_fails_exit_1(self, trained, tmp_path, capsys):
         lut = tmp_path / "model.lut"
         run(["reparam", "--checkpoint", trained, "--out", lut])

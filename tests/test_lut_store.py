@@ -18,12 +18,12 @@ from mole.lut_store import (
     LutVersionError,
     PayloadLengthError,
     TicketError,
+    _dequantize_blocks,
+    _quantize_blocks,
     codebook_half_max_gap,
     compression_ratio,
-    dequantize_row,
     lut_file_size,
     open_lut,
-    quantize_row,
     read_all_tables,
     write_lut,
 )
@@ -85,9 +85,9 @@ class TestCodebooks:
 
 class TestQuantizeRow:
     def test_zero_block_exact(self):
-        blocks = quantize_row(np.zeros(16, np.float32), bits=4, block_size=16)
-        assert blocks[0].scale == 0.0
-        back = dequantize_row(blocks, bits=4)
+        scales, codes = _quantize_blocks(np.zeros(16, np.float32), "nf4", block_size=16)
+        assert scales[0] == 0.0
+        back = _dequantize_blocks(scales, codes, "nf4")
         assert np.array_equal(back, np.zeros(16, np.float32))
 
     def test_constant_block_exact(self):
@@ -95,23 +95,24 @@ class TestQuantizeRow:
         # reconstruct exactly
         for c in (0.5, -1.5, 3.0):
             row = np.full(16, c, dtype=np.float32)
-            back = dequantize_row(quantize_row(row, 4, 16), 4)
+            back = _dequantize_blocks(*_quantize_blocks(row, "nf4", 16), "nf4")
             assert np.array_equal(back, row)
 
     @pytest.mark.parametrize("bits,block", [(4, 16), (3, 16), (4, 64), (3, 8)])
     def test_nearest_entry_oracle_and_error_bound(self, bits, block):
         rng = np.random.default_rng(bits * 100 + block)
         d = 128
+        dtype = "nf4" if bits == 4 else "nf3"
         row = rng.standard_normal(d).astype(np.float32)
-        blocks = quantize_row(row, bits, block)
-        cb = CODEBOOKS["nf4" if bits == 4 else "nf3"]
-        half_gap = codebook_half_max_gap("nf4" if bits == 4 else "nf3")
-        recon = dequantize_row(blocks, bits)
-        for bi, blk in enumerate(blocks):
+        scales, codes = _quantize_blocks(row, dtype, block)
+        cb = CODEBOOKS[dtype]
+        half_gap = codebook_half_max_gap(dtype)
+        recon = _dequantize_blocks(scales, codes, dtype)
+        for bi, (blk_scale, blk_codes) in enumerate(zip(scales, codes)):
             seg = row[bi * block : (bi + 1) * block]
-            scale = np.float32(blk.scale)
+            scale = np.float32(blk_scale)
             # exhaustive nearest-entry oracle
-            for v, code in zip(seg, blk.codes):
+            for v, code in zip(seg, blk_codes):
                 dists = np.abs(v / scale - cb)
                 assert code == int(np.argmin(dists))
             # per-block error bound
@@ -122,15 +123,15 @@ class TestQuantizeRow:
     @settings(max_examples=60, deadline=None)
     def test_bound_holds_for_arbitrary_rows(self, values):
         row = np.array(values, dtype=np.float32)
-        blocks = quantize_row(row, 3, 8)
-        recon = dequantize_row(blocks, 3)
-        scale = np.float32(blocks[0].scale)
+        scales, codes = _quantize_blocks(row, "nf3", 8)
+        recon = _dequantize_blocks(scales, codes, "nf3")
+        scale = np.float32(scales[0])
         assert np.max(np.abs(row - recon)) <= scale * codebook_half_max_gap("nf3") + 1e-6
 
     def test_nonfinite_rejected(self):
         row = np.array([1.0, np.nan] + [0.0] * 14, dtype=np.float32)
         with pytest.raises(FloatingPointError):
-            quantize_row(row, 4, 16)
+            _quantize_blocks(row, "nf4", 16)
 
 
 class TestCompressionRatio:
@@ -205,7 +206,7 @@ class TestFileFormat:
         write_lut(tables, path, dtype="nf3", block_size=8)
         with open_lut(path) as h:
             rows = h.gather(1, np.array([4]))
-        want = dequantize_row(quantize_row(tables[1].values[4, 0], 3, 8), 3)
+        want = _dequantize_blocks(*_quantize_blocks(tables[1].values[4, 0], "nf3", 8), "nf3")
         assert rows[0, 0].tobytes() == want.tobytes()
 
     def test_bad_magic(self, tmp_path):

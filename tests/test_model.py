@@ -17,11 +17,20 @@ from mole.model import (
     model_forward,
     moe_layer_forward,
     mole_expert_rows,
-    mole_layer_forward_infer,
-    mole_layer_forward_train,
+    mole_layer_forward,
     route,
     topk_select,
 )
+
+
+def mole_train_form(lv, x, e):
+    """The training-form mole sub-layer: expert FFNs on the embedding rows."""
+    return mole_layer_forward(lv, x, lambda: mole_expert_rows(lv, e))
+
+
+def gate_map(sel, gates):
+    """Expert id -> gate for one position of ``route``'s output."""
+    return {int(j): float(g) for j, g in zip(sel, gates)}
 
 
 class TestEmbed:
@@ -98,32 +107,34 @@ class TestRoute:
 
     def test_mole_equal_scores_uniform_gates(self):
         r, h = self._router([0.3, 0.3, 0.3, 0.3])
-        g = route(r, h, "mole", 4)
-        assert g.selected == (0, 1, 2, 3)
-        assert np.allclose(list(g.gates.values()), 0.25, atol=1e-6)
+        _, sel, gates = route(r, h, "mole", 4)
+        assert tuple(sel.tolist()) == (0, 1, 2, 3)
+        assert np.allclose(list(gate_map(sel, gates).values()), 0.25, atol=1e-6)
 
     def test_moe_topk_analytic_pair(self):
         r, h = self._router([0.1, 0.9, 0.5])
-        g = route(r, h, "moe", 2)
-        assert g.selected == (1, 2)
+        _, sel, gates = route(r, h, "moe", 2)
+        assert tuple(sel.tolist()) == (1, 2)
+        g = gate_map(sel, gates)
         want1 = 1.0 / (1.0 + math.exp(-0.4))
-        assert abs(g.gates[1] - want1) < 1e-6
-        assert abs(g.gates[2] - (1.0 - want1)) < 1e-6
+        assert abs(g[1] - want1) < 1e-6
+        assert abs(g[2] - (1.0 - want1)) < 1e-6
 
     def test_moe_k_equals_n_matches_mole(self):
         rng = np.random.default_rng(3)
         r = rng.standard_normal((4, 16)).astype(np.float32)
         h = rng.standard_normal(16).astype(np.float32)
-        moe = route(r, h, "moe", 4)
-        mole = route(r, h, "mole", 4)
-        assert moe.selected == mole.selected
-        for j in moe.gates:
-            assert abs(moe.gates[j] - mole.gates[j]) < 1e-6
+        _, moe_sel, moe_gates = route(r, h, "moe", 4)
+        _, mole_sel, mole_gates = route(r, h, "mole", 4)
+        assert tuple(moe_sel.tolist()) == tuple(mole_sel.tolist())
+        moe, mole = gate_map(moe_sel, moe_gates), gate_map(mole_sel, mole_gates)
+        for j in moe:
+            assert abs(moe[j] - mole[j]) < 1e-6
 
     def test_tie_breaks_toward_lower_index(self):
         r, h = self._router([0.5, 0.5, 0.5])
-        g = route(r, h, "moe", 2)
-        assert g.selected == (0, 1)
+        _, sel, _ = route(r, h, "moe", 2)
+        assert tuple(sel.tolist()) == (0, 1)
 
     def test_gates_sum_to_one(self):
         rng = np.random.default_rng(4)
@@ -131,9 +142,23 @@ class TestRoute:
             r = rng.standard_normal((6, 8)).astype(np.float32)
             h = rng.standard_normal(8).astype(np.float32)
             for variant, k in (("moe", 3), ("mole", 6)):
-                g = route(r, h, variant, k)
-                assert abs(sum(g.gates.values()) - 1.0) < 1e-6
-                assert all(v > 0 for v in g.gates.values())
+                g = gate_map(*route(r, h, variant, k)[1:])
+                assert abs(sum(g.values()) - 1.0) < 1e-6
+                assert all(v > 0 for v in g.values())
+
+    def test_leading_axes_match_single_positions(self):
+        rng = np.random.default_rng(6)
+        r = rng.standard_normal((5, 8)).astype(np.float32)
+        h = rng.standard_normal((2, 3, 8)).astype(np.float32)
+        for variant, k in (("moe", 2), ("mole", 5)):
+            logits, sel, gates = route(r, h, variant, k)
+            sel = np.broadcast_to(sel, gates.shape)  # mole selects arange(N) everywhere
+            assert logits.shape == (2, 3, 5) and gates.shape == (2, 3, k)
+            for b in range(2):
+                for t in range(3):
+                    one = route(r, h[b, t], variant, k)
+                    for got, want in zip((logits, sel, gates), one):
+                        assert got[b, t].tobytes() == want.tobytes()
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(5)
@@ -212,7 +237,7 @@ class TestMoleLayer:
         x = rng.standard_normal((1, 3, p.cfg.d)).astype(np.float32)
         e = rng.standard_normal((1, 3, p.cfg.d)).astype(np.float32)
         lv = p.layer(0)
-        got = mole_layer_forward_train(lv, x, e)
+        got = mole_train_form(lv, x, e)
         hn = rmsnorm(x, lv.norm_gain("post_attn_norm"), RMS_EPS)
         want = x + ffn_forward(hn, lv.shared_w1, lv.shared_b1, lv.shared_w2, lv.shared_b2)
         assert np.max(np.abs(got - want)) < 1e-7
@@ -224,7 +249,7 @@ class TestMoleLayer:
         x = rng.standard_normal((1, 2, p.cfg.d)).astype(np.float32)
         e = rng.standard_normal((1, 2, p.cfg.d)).astype(np.float32)
         lv = p.layer(0)
-        got = mole_layer_forward_train(lv, x, e)
+        got = mole_train_form(lv, x, e)
         rows = mole_expert_rows(lv, e)
         hn = rmsnorm(x, lv.norm_gain("post_attn_norm"), RMS_EPS)
         shared = ffn_forward(hn, lv.shared_w1, lv.shared_b1, lv.shared_w2, lv.shared_b2)
@@ -236,7 +261,7 @@ class TestMoleLayer:
         x = rng.standard_normal((1, 3, p.cfg.d)).astype(np.float32)
         e = rng.standard_normal((1, 3, p.cfg.d)).astype(np.float32)
         lv = p.layer(0)
-        got = mole_layer_forward_train(lv, x, e)
+        got = mole_train_form(lv, x, e)
         # independent: per position, per expert, double precision mixing
         hn = rmsnorm(x, lv.norm_gain("post_attn_norm"), RMS_EPS)
         en = rmsnorm(e, lv.norm_gain("expert_norm"), RMS_EPS)
@@ -258,8 +283,8 @@ class TestMoleLayer:
         e = rng.standard_normal((1, 3, p.cfg.d)).astype(np.float32)
         lv = p.layer(0)
         rows = mole_expert_rows(lv, e)
-        train_out = mole_layer_forward_train(lv, x, e)
-        infer_out = mole_layer_forward_infer(lv, x, rows)
+        train_out = mole_train_form(lv, x, e)
+        infer_out = mole_layer_forward(lv, x, rows)
         assert train_out.tobytes() == infer_out.tobytes()
 
     def test_two_equal_experts_average_rows(self):
@@ -271,7 +296,7 @@ class TestMoleLayer:
         r2 = rng.standard_normal((1, 1, p.cfg.d)).astype(np.float32)
         rows = np.stack([r1, r2])
         lv = p.layer(0)
-        got = mole_layer_forward_infer(lv, x, rows)
+        got = mole_layer_forward(lv, x, rows)
         hn = rmsnorm(x, lv.norm_gain("post_attn_norm"), RMS_EPS)
         shared = ffn_forward(hn, lv.shared_w1, lv.shared_b1, lv.shared_w2, lv.shared_b2)
         want = x + shared + (r1 + r2) / 2.0

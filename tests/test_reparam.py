@@ -3,7 +3,9 @@ import pytest
 
 from conftest import tiny_dense, tiny_mole, random_prompts
 
-from mole.model import mole_expert_rows, param_names
+from mole.engine import greedy_decode
+from mole.lut_store import TicketError
+from mole.model import model_forward, mole_expert_rows, param_names
 from mole.reparam import (
     InMemoryLut,
     build_layer_lut,
@@ -134,3 +136,52 @@ class TestVerifyEquivalence:
             prompt = rng.integers(0, p.cfg.vocab, size=length)
             report = verify_equivalence(p, infer, lut, [prompt], 1e-5)
             assert report.passed, length
+
+
+class PrefetchOnlyLut:
+    """A row source with the fetch contract alone (no ``gather``), plus the
+    byte count the decode meter reads."""
+
+    def __init__(self, tables):
+        self._inner = InMemoryLut(tables)
+
+    @property
+    def bytes_read(self):
+        return self._inner.bytes_read
+
+    def prefetch(self, layer, ids):
+        return self._inner.prefetch(layer, ids)
+
+    def await_rows(self, ticket):
+        return self._inner.await_rows(ticket)
+
+
+class TestRowSource:
+    def test_prefetch_only_source_drives_every_lut_path(self, rng):
+        p = tiny_mole()
+        infer, tables = reparameterize(p)
+        src = PrefetchOnlyLut(tables)
+        assert not hasattr(src, "gather")
+        ids = rng.integers(0, p.cfg.vocab, size=(2, 7))
+        got = model_forward(infer, ids, form="lut_form", lut=src)
+        assert got.tobytes() == model_forward(p, ids).tobytes()
+
+        prompts = random_prompts(rng, p.cfg.vocab, 6, p.cfg.max_seq)
+        report = verify_equivalence(p, infer, src, prompts, tolerance=1e-5)
+        assert report.passed and report.max_rel_err == 0.0
+
+        lanes, steps = random_prompts(rng, p.cfg.vocab, 3, 6), 4
+        before = src.bytes_read
+        res = greedy_decode(infer, lanes, steps, runtime="mole-lut", lut=src)
+        assert res.tokens == greedy_decode(p, lanes, steps, runtime="mole-train").tokens
+        rows = sum(len(x) for x in lanes) + steps * len(lanes)
+        assert src.bytes_read - before == res.meter.total_bytes == \
+            rows * p.cfg.L * p.cfg.N * p.cfg.d * 4
+
+    def test_in_memory_ticket_is_single_use(self):
+        _, tables = reparameterize(tiny_mole())
+        lut = InMemoryLut(tables)
+        ticket = lut.prefetch(0, np.array([1, 2]))
+        assert lut.await_rows(ticket).tobytes() == tables[0].values[[1, 2]].tobytes()
+        with pytest.raises(TicketError):
+            lut.await_rows(ticket)
