@@ -20,25 +20,12 @@ import numpy as np
 
 from .config import PAPER_CONFIGS, ModelConfig
 from .engine import (
+    BandwidthModel,
     ExpertCacheState,
     cache_update,
     step_latency,
     uniform_routing_step,
 )
-
-
-@dataclass(frozen=True)
-class BandwidthModel:
-    """Link model for offload transfers: seconds = overhead + bytes / rate."""
-
-    bytes_per_second: float = 16e9  # PCIe 3.0 x16 class link
-    fixed_overhead: float = 0.0
-
-    def __post_init__(self):
-        if self.bytes_per_second <= 0:
-            raise ValueError("bytes_per_second must be positive")
-        if self.fixed_overhead < 0:
-            raise ValueError("fixed_overhead must be non-negative")
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,14 @@ to rebuild the model.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .config import ModelConfig, VARIANTS
-from .model import ModelParams
+from .config import VARIANTS, ConfigError, ModelConfig
+from .model import ModelParams, param_names, param_shape
 
 MAGIC = b"MOLECKPT"
 VERSION = 1
@@ -63,6 +64,8 @@ def write_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def read_tensors(path: str | Path) -> dict[str, np.ndarray]:
+    """Every tensor of a checkpoint file, by name. A malformed file raises
+    CheckpointError naming the tensor (or its index) where parsing failed."""
     data = Path(path).read_bytes()
     if len(data) < 16 or data[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
@@ -71,25 +74,27 @@ def read_tensors(path: str | Path) -> dict[str, np.ndarray]:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     off = 16
     tensors: dict[str, np.ndarray] = {}
-    try:
-        for _ in range(count):
+    for index in range(count):
+        try:
             (name_len,) = struct.unpack_from("<H", data, off)
-            off += 2
-            name = data[off : off + name_len].decode("utf-8")
-            off += name_len
+            name = data[off + 2 : off + 2 + name_len].decode("utf-8")
+            off += 2 + name_len
             code, rank = struct.unpack_from("<BB", data, off)
-            off += 2
-            shape = struct.unpack_from(f"<{rank}Q", data, off)
-            off += 8 * rank
-            dtype = _CODE_DTYPES[code]
-            nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
-            raw = data[off : off + nbytes]
-            if len(raw) != nbytes:
-                raise CheckpointError(f"{path}: truncated tensor {name!r}")
-            off += nbytes
-            tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    except (struct.error, KeyError) as exc:
-        raise CheckpointError(f"{path}: corrupt tensor table ({exc})")
+            shape = struct.unpack_from(f"<{rank}Q", data, off + 2)
+            off += 2 + 8 * rank
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise CheckpointError(f"{path}: corrupt table entry of tensor #{index} ({exc})")
+        if code not in _CODE_DTYPES:
+            raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype code {code}")
+        dtype = _CODE_DTYPES[code]
+        nbytes = math.prod(shape) * dtype.itemsize
+        if nbytes > len(data) - off:
+            raise CheckpointError(f"{path}: truncated tensor {name!r}")
+        try:
+            tensors[name] = np.frombuffer(data, dtype, math.prod(shape), off).reshape(shape).copy()
+        except ValueError as exc:  # e.g. a rank NumPy cannot represent
+            raise CheckpointError(f"{path}: tensor {name!r} of shape {shape}: {exc}")
+        off += nbytes
     if off != len(data):
         raise CheckpointError(f"{path}: {len(data) - off} trailing bytes")
     return tensors
@@ -111,12 +116,33 @@ def _decode_config(tensors: dict[str, np.ndarray]) -> tuple[ModelConfig, bool]:
         floats = tensors[_CONFIG_FLOATS]
     except KeyError:
         raise CheckpointError("checkpoint carries no model configuration")
-    (variant_i, L, d, heads, D_s, D_r, N, k, vocab, max_seq, infer) = (int(v) for v in ints)
-    cfg = ModelConfig(
-        variant=VARIANTS[variant_i], L=L, d=d, n_heads=heads, D_s=D_s, D_r=D_r,
-        N=N, k=k, vocab=vocab, rotary_fraction=float(floats[0]), max_seq=max_seq,
-    )
+    if (ints.dtype, ints.shape, floats.dtype, floats.shape) != (np.int64, (11,), np.float64, (1,)):
+        raise CheckpointError(f"config tensors must be 11 int64 and 1 float64 values, got "
+                              f"{ints.dtype} {ints.shape} and {floats.dtype} {floats.shape}")
+    (variant_i, L, d, heads, D_s, D_r, N, k, vocab, max_seq, infer) = ints.tolist()
+    variant = VARIANTS[variant_i] if 0 <= variant_i < len(VARIANTS) else f"#{variant_i}"
+    try:
+        cfg = ModelConfig(
+            variant=variant, L=L, d=d, n_heads=heads, D_s=D_s, D_r=D_r,
+            N=N, k=k, vocab=vocab, rotary_fraction=float(floats[0]), max_seq=max_seq,
+        )
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint {exc}")
     return cfg, bool(infer)
+
+
+def _check_weights(cfg: ModelConfig, inference_form: bool,
+                   weights: dict[str, np.ndarray]) -> None:
+    """Raise CheckpointError unless ``weights`` are exactly ``cfg``'s tensors."""
+    if max(cfg.L, cfg.N) > len(weights):  # every layer and expert owns tensors
+        raise CheckpointError(f"config (L={cfg.L}, N={cfg.N}) does not fit "
+                              f"{len(weights)} weight tensors")
+    names = param_names(cfg, inference_form)
+    for n in names:
+        if n not in weights or weights[n].shape != param_shape(n, cfg):
+            raise CheckpointError(f"tensor {n!r} is missing or not of shape {param_shape(n, cfg)}")
+    if len(names) != len(weights):
+        raise CheckpointError(f"unexpected tensor {sorted(set(weights) - set(names))[0]!r}")
 
 
 def save_model(path: str | Path, params: ModelParams) -> None:
@@ -129,4 +155,5 @@ def load_model(path: str | Path) -> ModelParams:
     tensors = read_tensors(path)
     cfg, inference_form = _decode_config(tensors)
     weights = {k: v for k, v in tensors.items() if not k.startswith("__config")}
+    _check_weights(cfg, inference_form, weights)
     return ModelParams(cfg, weights, inference_form)

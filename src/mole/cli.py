@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__, analyst, checkpoint, engine, kernels, lut_store, reparam, trainer
 from .config import (
     PAPER_CONFIGS,
-    THREADS_ENV,
     ConfigError,
     CorpusConfig,
     ModelConfig,
@@ -67,7 +66,7 @@ def sha256_file(path: str | Path) -> str:
 
 def kernel_provenance() -> dict:
     """What decides the bits of a run: the matmul kernel chosen per dtype,
-    its tile height, NumPy and its BLAS, and the thread variables as set."""
+    its tile height, NumPy and its BLAS, and the BLAS thread variable as set."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # NumPy before 1.26 has no dict mode
@@ -79,7 +78,6 @@ def kernel_provenance() -> dict:
         "blas_name": blas.get("name"),
         "blas_version": blas.get("version"),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "MOLE_RT_THREADS": os.environ.get(THREADS_ENV),
     }
 
 
@@ -287,15 +285,11 @@ def cmd_bench(args) -> int:
         "steps": args.steps,
         "mean_bytes_per_step": total_bytes / len(recs),
         "mean_experts_loaded_per_layer": mean_loads,
-        "transfer_seconds_per_step": step_latency_mean(recs),
+        "transfer_seconds_per_step": float(np.mean([r.sim_seconds for r in recs])),
         "total_bytes": total_bytes,
     }
     print(json.dumps(summary, indent=2))
     return EXIT_OK
-
-
-def step_latency_mean(recs) -> float:
-    return float(np.mean([r.sim_seconds for r in recs])) if recs else 0.0
 
 
 def cmd_quantize(args) -> int:
@@ -428,13 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (checkpoint.CheckpointError, lut_store.LutFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except OSError as exc:  # CheckpointError and LutFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except FloatingPointError as exc:

@@ -9,7 +9,7 @@ out of scope for this artifact.
 from __future__ import annotations
 
 import json
-import os
+import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -23,26 +23,6 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         self.field = field_name
         super().__init__(f"config field '{field_name}': {message}")
-
-
-THREADS_ENV = "MOLE_RT_THREADS"
-
-
-def worker_threads() -> int:
-    """Worker threads for table builds and LUT prefetch: ``MOLE_RT_THREADS``
-    (default 1), capped at ``os.cpu_count()``.
-
-    A value that is not an integer >= 1 raises ValueError naming the
-    variable; the CLI exits with its usage code.
-    """
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {raw!r}")
-    return min(threads, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -89,7 +69,8 @@ class ModelConfig:
                 raise ConfigError("D_s", "mole variant needs shared and routed FFN widths >= 1")
         d_head = self.d // self.n_heads
         span = self.rotary_fraction * d_head
-        if abs(span - round(span)) > 1e-9 or round(span) <= 0 or round(span) % 2 != 0:
+        if (not math.isfinite(span) or abs(span - round(span)) > 1e-9
+                or round(span) <= 0 or round(span) % 2 != 0):
             raise ConfigError(
                 "rotary_fraction",
                 f"rotary span {span} of d_head={d_head} must be a positive even integer",

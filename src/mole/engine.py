@@ -5,11 +5,11 @@ Three real runtimes (they run the actual model):
                                train-form mole runtime is the reference the
                                LUT runtime is checked against.
   mole-lut                  -- routed experts replaced by an offloaded table,
-                               read through its row-source contract: per
-                               layer, a fetch is issued with ``prefetch`` at
-                               layer entry and its rows are taken with
-                               ``await_rows`` after the shared expert; every
-                               step moves exactly lanes * N * d * L elements.
+                               read through ``lut_store.RowSource``: per
+                               layer, ``prefetch`` at layer entry issues a
+                               fetch that ``await_rows`` serves after the
+                               shared expert; every step moves exactly
+                               lanes * N * d * L elements.
   moe-offload               -- routed experts offloaded: selected experts
                                missing from the per-layer cache are loaded
                                (2 * d * D_r elements each) and the cache is
@@ -23,6 +23,7 @@ only the attention core runs per group of lanes with equal (cached, new)
 lengths, and no lane is padded. Each lane therefore gets the bits it gets
 decoding alone, and the meter is what the lanes would be charged alone.
 
+One link model (``BandwidthModel``) prices every step's transfer time.
 Plus a model-free bandwidth simulator (uniform-random routing) for shapes
 too large to run, used by the latency accounting.
 
@@ -102,10 +103,31 @@ class StepRecord:
     sim_seconds: float
 
 
+@dataclass(frozen=True)
+class BandwidthModel:
+    """Link model for offload transfers: seconds = overhead + bytes / rate."""
+
+    bytes_per_second: float = 16e9  # PCIe 3.0 x16 class link
+    fixed_overhead: float = 0.0
+
+    def __post_init__(self):
+        if self.bytes_per_second <= 0:
+            raise ValueError("bytes_per_second must be positive")
+        if self.fixed_overhead < 0:
+            raise ValueError("fixed_overhead must be non-negative")
+
+
+def step_latency(nbytes: int, bw: BandwidthModel | None) -> float:
+    """Simulated transfer time: fixed_overhead + bytes / bytes_per_second."""
+    if bw is None:
+        return 0.0
+    return bw.fixed_overhead + nbytes / bw.bytes_per_second
+
+
 @dataclass
 class StepMeter:
     bytes_per_element: int
-    bandwidth: "object | None" = None  # anything with bytes_per_second / fixed_overhead
+    bandwidth: BandwidthModel | None = None
     records: list[StepRecord] = field(default_factory=list)
 
     def add(self, step: int, lanes: int, elements: int, experts_loaded: int = 0,
@@ -125,15 +147,6 @@ class StepMeter:
 
     def decode_records(self) -> list[StepRecord]:
         return [r for r in self.records if r.step >= 0]
-
-
-def step_latency(nbytes: int, bw) -> float:
-    """Simulated transfer time: fixed_overhead + bytes / bytes_per_second."""
-    if bw is None:
-        return 0.0
-    if bw.bytes_per_second <= 0:
-        raise ValueError("bandwidth must be positive")
-    return bw.fixed_overhead + nbytes / bw.bytes_per_second
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +171,7 @@ def greedy_decode(
     lut=None,
     seed: int = 0,
     bytes_per_element: int = 4,
-    bandwidth=None,
+    bandwidth: BandwidthModel | None = None,
 ) -> DecodeResult:
     """Greedy decoding with transfer metering.
 
@@ -244,7 +257,7 @@ def simulate_transfer_meter(
     steps: int,
     seed: int = 0,
     bytes_per_element: int = 2,
-    bandwidth=None,
+    bandwidth: BandwidthModel | None = None,
     routing_trace: list[list[list[set[int]]]] | None = None,
     lut_row_bytes: int | None = None,
 ) -> StepMeter:

@@ -1,5 +1,5 @@
-"""On-disk lookup-table format, blockwise normal-float quantization, and an
-offload backend with an asynchronous fetch contract.
+"""On-disk lookup-table format, blockwise normal-float quantization, and the
+row-source fetch contract shared by the file reader and in-memory tables.
 
 File layout (little-endian throughout):
     offset  0   magic      8 bytes  "MOLELUT1"
@@ -21,7 +21,8 @@ absmax scale (2 bytes) followed by the codebook indices bit-packed LSB-first
 
 The normal-float codebooks are the 2^bits quantiles of the standard normal,
 symmetrized to include 0 and +-1, frozen below as literal constants (pinned
-by tests and implied by the file version).
+by tests and implied by the file version). Rows are fetched lazily, when
+``await_rows`` redeems the ticket ``prefetch`` handed out (``RowSource``).
 """
 
 from __future__ import annotations
@@ -30,13 +31,10 @@ import os
 import struct
 import threading
 from collections.abc import Callable
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .config import worker_threads
 
 MAGIC = b"MOLELUT1"
 VERSION = 1
@@ -194,14 +192,9 @@ def _unpack_codes(packed: np.ndarray, bits: int, block_size: int) -> np.ndarray:
 def compression_ratio(bits: int, block_size: int) -> float:
     """Quantized bytes over fp16 bytes for one block:
     (block_size * bits / 8 + 2) / (block_size * 2)."""
-    if bits not in (3, 4):
+    if bits not in QUANT_BITS.values():
         raise ValueError(f"unsupported quantization width: {bits} bits")
-    if block_size <= 0 or (bits * block_size) % 8 != 0:
-        raise ValueError(f"invalid block size {block_size} for {bits}-bit codes")
-    ratio = (block_size * bits / 8 + 2) / (block_size * 2)
-    if ratio >= 1.0:
-        raise ValueError(f"layout ({bits} bits, block {block_size}) does not compress")
-    return ratio
+    return _block_layout(f"nf{bits}", block_size, block_size) / (block_size * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +262,10 @@ class LutFileHeader:
 
 
 class FetchTicket:
-    """Single-use completion handle for a prefetched row batch: ``fetch`` is
-    a Future already running the read, or a no-argument callable doing it
-    when the rows are first asked for."""
+    """Single-use completion handle for a prefetched row batch: ``fetch``
+    reads the rows when they are first asked for."""
 
-    def __init__(self, fetch: Future | Callable[[], np.ndarray]):
+    def __init__(self, fetch: Callable[[], np.ndarray]):
         self._fetch = fetch
         self._consumed = False
 
@@ -282,12 +274,24 @@ class FetchTicket:
         if self._consumed:
             raise TicketError("fetch ticket already consumed")
         self._consumed = True
-        if isinstance(self._fetch, Future):
-            return self._fetch.result()
         return self._fetch()
 
 
-class LutHandle:
+class RowSource:
+    """Rows by (layer, token ids), through ``gather`` or through the fetch
+    contract: ``prefetch`` at layer entry, ``await_rows`` when the rows are
+    needed. Subclasses supply ``gather``; the ticket calls it on redemption,
+    so ``await_rows(prefetch(layer, ids))`` is exactly ``gather(layer, ids)``."""
+
+    def prefetch(self, layer: int, ids: np.ndarray) -> FetchTicket:
+        ids = np.atleast_1d(np.asarray(ids)).copy()
+        return FetchTicket(lambda: self.gather(layer, ids))
+
+    def await_rows(self, ticket: FetchTicket) -> np.ndarray:
+        return ticket.result()
+
+
+class LutHandle(RowSource):
     """Random-access reader over an open LUT file.
 
     Rows are read (and dequantized if needed) on demand; the payload never
@@ -295,10 +299,8 @@ class LutHandle:
     whether through gather or through prefetch tickets.
     """
 
-    def __init__(self, path: str | Path, threads: int | None = None):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        if threads is None:
-            threads = worker_threads()
         size = self.path.stat().st_size
         with open(self.path, "rb") as f:
             head = f.read(HEADER_SIZE)
@@ -329,14 +331,10 @@ class LutHandle:
         self._record_bytes = n_experts * row_bytes  # one token's rows
         self._layer_bytes = vocab * self._record_bytes
         self._file = open(self.path, "rb")
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # a handle may be shared across caller threads
         self.bytes_read = 0
-        self._pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         self._file.close()
 
     def __enter__(self):
@@ -386,25 +384,13 @@ class LutHandle:
                                              f"of layer {layer} ({got} of {size} bytes)")
         return self._decode_records(buf)
 
-    def prefetch(self, layer: int, ids: np.ndarray) -> FetchTicket:
-        """Begin fetching rows; await_rows(ticket) yields exactly what
-        gather would. Service may be eager (worker thread) or lazy."""
-        ids = np.atleast_1d(np.asarray(ids)).copy()
-        if self._pool is not None:
-            return FetchTicket(self._pool.submit(self.gather, layer, ids))
-        return FetchTicket(lambda: self.gather(layer, ids))
-
-    def await_rows(self, ticket: FetchTicket) -> np.ndarray:
-        return ticket.result()
-
-
-def open_lut(path: str | Path, threads: int | None = None) -> LutHandle:
-    return LutHandle(path, threads=threads)
+def open_lut(path: str | Path) -> LutHandle:
+    return LutHandle(path)
 
 
 def read_all_tables(path: str | Path) -> list[LutTable]:
     """Load every layer table into memory (test/convert utility)."""
-    with open_lut(path, threads=1) as h:
+    with open_lut(path) as h:
         hdr = h.header
         tables = []
         for layer in range(hdr.n_layers):

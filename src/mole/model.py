@@ -122,7 +122,8 @@ def param_names(cfg: ModelConfig, inference_form: bool = False) -> list[str]:
     return names
 
 
-def _shape_of(name: str, cfg: ModelConfig) -> tuple[int, ...]:
+def param_shape(name: str, cfg: ModelConfig) -> tuple[int, ...]:
+    """Shape of the tensor ``name`` (see ``param_names``) under ``cfg``."""
     if name == "embedding":
         return (cfg.vocab, cfg.d)
     if name == "lm_head":
@@ -156,7 +157,7 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
     for name in param_names(cfg):
-        shape = _shape_of(name, cfg)
+        shape = param_shape(name, cfg)
         if name.endswith(".gain"):
             t = np.ones(shape, dtype=dtype)
         elif name.endswith((".b1", ".b2", ".bqkv", ".bo")):
@@ -346,8 +347,9 @@ def moe_layer_forward(
     layer: LayerView,
     x: np.ndarray,
     cache: dict | None = None,
-) -> np.ndarray:
-    """Top-k routed expert sub-layer (no shared expert): x + sum g_j FFN_j(hn)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k routed expert sub-layer (no shared expert): x + sum g_j FFN_j(hn).
+    Returns it with the selected experts (..., k), which offloading loads."""
     cfg = layer.cfg
     hn = rmsnorm(x, layer.norm_gain("post_attn_norm"), RMS_EPS)
     logits, sel, gates = route(layer.router, hn, "moe", cfg.k)  # (B, T, N), (B, T, k) x 2
@@ -368,7 +370,7 @@ def moe_layer_forward(
     if cache is not None:
         cache.update(hn=hn, router_logits=logits, sel=sel, gates=gates,
                      experts=expert_caches)
-    return out
+    return out, sel
 
 
 def mole_expert_rows(
@@ -518,10 +520,9 @@ def _forward(
         if cfg.variant == "dense":
             x = dense_layer_forward(lv, x, cache=lc)
         elif cfg.variant == "moe":
-            mc = {} if lc is None and moe_sel is not None else lc
-            x = moe_layer_forward(lv, x, cache=mc)
+            x, sel = moe_layer_forward(lv, x, cache=lc)
             if moe_sel is not None:
-                moe_sel.append(mc["sel"].reshape(-1, cfg.k))
+                moe_sel.append(sel.reshape(-1, cfg.k))
         elif mole_lut:
             # (B*T, N, d) table rows -> (N, B, T, d)
             x = mole_layer_forward(lv, x, lambda t=ticket: lut.await_rows(t).transpose(

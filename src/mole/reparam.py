@@ -3,28 +3,27 @@ lookup tables and verify that the table-driven model reproduces the
 training-form model.
 
 Table entry (i, j) is FFN_j(expert_norm(embedding_row_i)). Tables are built
-as batched passes over the full embedding matrix. ``kernels.matmul`` fixes
-each row's reduction by (K, N, dtype), however many rows share the call, so
-on a given machine and BLAS a batched build is bit-identical to
-re-computing any single row on its own. Table size depends only on
-(vocab, N, d) — never on the routed experts' hidden width.
+in one pass over the embedding matrix, a chunk of vocab rows at a time so
+memory stays bounded at large vocabularies. ``kernels.matmul`` fixes each
+row's reduction by (K, N, dtype), however many rows share the call, so on a
+given machine and BLAS a chunked build is bit-identical to re-computing any
+single row on its own. Table size depends only on (vocab, N, d) — never on
+the routed experts' hidden width.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import worker_threads
-from .lut_store import FetchTicket, LutTable
+from .lut_store import LutTable, RowSource
 from .model import ModelParams, mole_expert_rows, model_forward, param_names
 
 
-class InMemoryLut:
-    """In-RAM table stack with the same fetch contract as a file handle:
-    gather / prefetch / await_rows, plus logical byte accounting."""
+class InMemoryLut(RowSource):
+    """In-RAM table stack with the same row-source contract as a file
+    handle, plus logical byte accounting."""
 
     def __init__(self, tables: list[LutTable]):
         self.tables = tables
@@ -35,13 +34,6 @@ class InMemoryLut:
         self.bytes_read += rows.nbytes
         return rows
 
-    def prefetch(self, layer: int, ids: np.ndarray) -> FetchTicket:
-        ids = np.asarray(ids).copy()
-        return FetchTicket(lambda: self.gather(layer, ids))
-
-    def await_rows(self, ticket: FetchTicket) -> np.ndarray:
-        return ticket.result()
-
 
 def build_layer_lut(
     params: ModelParams,
@@ -51,9 +43,8 @@ def build_layer_lut(
     """Pre-compute values[i, j] = FFN_j(expert_norm_layer(embedding row i))
     for every vocabulary id, as batched passes over the embedding matrix.
 
-    Chunking (and the optional MOLE_RT_THREADS worker pool) only partitions
-    the vocab axis; assembly into the output array is by index, so the
-    result is byte-identical for any chunk size or thread count.
+    Chunking only partitions the vocab axis; assembly into the output array
+    is by index, so the result is byte-identical for any chunk size.
     """
     cfg = params.cfg
     if cfg.variant != "mole":
@@ -61,19 +52,9 @@ def build_layer_lut(
     emb = params.tensors["embedding"]
     lv = params.layer(layer_index)
     out = np.empty((cfg.vocab, cfg.N, cfg.d), dtype=emb.dtype)
-
-    def fill(start: int, stop: int) -> None:
-        rows = mole_expert_rows(lv, emb[start:stop])  # (N, chunk, d)
-        out[start:stop] = rows.transpose(1, 0, 2)
-
-    spans = [(s, min(s + chunk_size, cfg.vocab)) for s in range(0, cfg.vocab, chunk_size)]
-    threads = worker_threads()
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda sp: fill(*sp), spans))
-    else:
-        for sp in spans:
-            fill(*sp)
+    for start in range(0, cfg.vocab, chunk_size):
+        rows = mole_expert_rows(lv, emb[start:start + chunk_size])  # (N, chunk, d)
+        out[start:start + chunk_size] = rows.transpose(1, 0, 2)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError(f"non-finite expert output in layer {layer_index} table")
     return LutTable(layer_index, out)

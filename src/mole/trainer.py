@@ -171,6 +171,25 @@ def _router_scatter_grads(
     return matmul(dlogits, layer.router)
 
 
+def _loss_metrics(cfg: ModelConfig, logits: np.ndarray, targets: np.ndarray,
+                  cache: dict, tcfg: TrainConfig) -> dict[str, float]:
+    """The training loss of one forward pass (``cache`` filled by
+    ``model_forward``): the LM term, the moe router z and load-balance terms
+    summed over layers, and their weighted "total"."""
+    metrics = {"lm": lm_loss(logits, targets), "z": 0.0, "balance": 0.0}
+    if cfg.variant == "moe":
+        for lc in cache["layers"]:
+            metrics["z"] += z_loss(lc["router_logits"])
+            metrics["balance"] += balance_loss(
+                softmax(lc["router_logits"]), lc["sel"], cfg.N, cfg.k)
+    metrics["total"] = (
+        metrics["lm"]
+        + tcfg.z_loss_coeff * metrics["z"]
+        + tcfg.balance_loss_coeff * metrics["balance"]
+    )
+    return metrics
+
+
 def backward(
     params: ModelParams,
     batch: tuple[np.ndarray, np.ndarray],
@@ -194,23 +213,7 @@ def backward(
     cache: dict = {}
     logits = model_forward(params, ids, form="train_form", cache=cache)
     dtype = logits.dtype
-    loss_lm = lm_loss(logits, targets)
-    metrics = {"lm": loss_lm, "z": 0.0, "balance": 0.0}
-    if cfg.variant == "moe":
-        z_total = 0.0
-        bal_total = 0.0
-        for lc in cache["layers"]:
-            z_total += z_loss(lc["router_logits"])
-            bal_total += balance_loss(
-                softmax(lc["router_logits"]), lc["sel"], cfg.N, cfg.k
-            )
-        metrics["z"] = z_total
-        metrics["balance"] = bal_total
-    metrics["total"] = (
-        loss_lm
-        + tcfg.z_loss_coeff * metrics["z"]
-        + tcfg.balance_loss_coeff * metrics["balance"]
-    )
+    metrics = _loss_metrics(cfg, logits, targets, cache, tcfg)
     if not np.isfinite(metrics["total"]):
         raise FloatingPointError(f"non-finite training loss: {metrics}")
 
@@ -235,10 +238,10 @@ def backward(
         dhn = np.zeros_like(hn)
         dx_mid = dx.copy()  # residual passthrough
 
-        if cfg.variant == "dense":
+        if cfg.has_shared:
             dhn += _ffn_backward(dx, hn, lc["shared_pre"], lc["shared_act"],
                                  lv.shared_w1, lv.shared_w2, grads, p + ".shared")
-        elif cfg.variant == "moe":
+        if cfg.variant == "moe":
             dgates = np.zeros_like(lc["gates"])  # (B, T, k)
             for j in range(cfg.N):
                 ec = lc["experts"][j]
@@ -258,9 +261,7 @@ def backward(
             if use_aux:
                 dlogits_r += _aux_loss_grads(lc, cfg, tcfg, dtype)
             dhn += _router_scatter_grads(lv, hn, dlogits_r, grads)
-        else:  # mole
-            dhn += _ffn_backward(dx, hn, lc["shared_pre"], lc["shared_act"],
-                                 lv.shared_w1, lv.shared_w2, grads, p + ".shared")
+        elif cfg.variant == "mole":
             gates, rows = lc["gates"], lc["rows"]
             dgates = np.einsum("bts,nbts->btn", dx, rows).astype(dtype)
             den = np.zeros_like(lc["en"])
@@ -486,13 +487,7 @@ def gradient_check(
     def loss_of(p: ModelParams) -> float:
         cache: dict = {}
         logits = model_forward(p, batch[0], cache=cache)
-        total = lm_loss(logits, batch[1])
-        if p.cfg.variant == "moe":
-            for lc in cache["layers"]:
-                total += tcfg.z_loss_coeff * z_loss(lc["router_logits"])
-                total += tcfg.balance_loss_coeff * balance_loss(
-                    softmax(lc["router_logits"]), lc["sel"], p.cfg.N, p.cfg.k)
-        return total
+        return _loss_metrics(p.cfg, logits, batch[1], cache, tcfg)["total"]
 
     _, grads = backward(p64, batch, tcfg)
     report: dict[str, float] = {}

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mole import config
+from mole.checkpoint import read_tensors, write_tensors
 from mole.cli import main
 from mole.lut_store import write_lut
 from mole.reparam import LutTable
@@ -50,7 +50,7 @@ class TestTrain:
         assert "checkpoint" in manifest["outputs"]
         kernel = manifest["kernel"]
         assert set(kernel) == {"backend", "tile_rows", "numpy_version", "blas_name",
-                               "blas_version", "OPENBLAS_NUM_THREADS", "MOLE_RT_THREADS"}
+                               "blas_version", "OPENBLAS_NUM_THREADS"}
         assert set(kernel["backend"].values()) <= {"tiled-blas", "sequential"}
         assert kernel["numpy_version"] == np.__version__
 
@@ -61,6 +61,13 @@ class TestTrain:
         path.write_text(json.dumps(bad))
         assert run(["train", "--config", path, "--out", tmp_path / "x"]) == 2
         assert "vocab" in capsys.readouterr().err
+
+    def test_nan_rotary_fraction_exit_2_names_field(self, tmp_path, capsys):
+        bad = {**TOY_CONFIG, "model": {**TOY_CONFIG["model"], "rotary_fraction": float("nan")}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))  # JSON as Python writes and reads it: NaN
+        assert run(["train", "--config", path, "--out", tmp_path / "x"]) == 2
+        assert "'rotary_fraction'" in capsys.readouterr().err
 
     def test_same_seed_identical_digests(self, toy_config_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -140,11 +147,16 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "n_experts 3 (checkpoint has 2)" in err
 
-    def test_bad_thread_count_exit_2_names_variable(self, trained, tmp_path, capsys,
-                                                    monkeypatch):
-        monkeypatch.setenv("MOLE_RT_THREADS", "abc")
-        assert run(["reparam", "--checkpoint", trained, "--out", tmp_path / "t.lut"]) == 2
-        assert "MOLE_RT_THREADS" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["reparam", "verify", "infer"])
+    def test_bad_variant_index_exit_3_names_field(self, trained, tmp_path, capsys, command):
+        tensors = read_tensors(trained)
+        tensors["__config_ints"][0] = 7  # no such variant
+        bad = tmp_path / "bad.ckpt"
+        write_tensors(bad, tensors)
+        rest = {"reparam": ["--out", tmp_path / "t.lut"], "verify": ["--lut", tmp_path / "t.lut"],
+                "infer": ["--prompt", "1,2"]}[command]
+        assert run([command, "--checkpoint", bad, *rest]) == 3
+        assert "'variant'" in capsys.readouterr().err
 
     def test_dense_checkpoint_reparam_refused(self, tmp_path, capsys):
         cfg = {
@@ -220,23 +232,3 @@ class TestBenchAndReport:
 
     def test_unknown_preset_exit_2(self, capsys):
         assert run(["bench", "--runtime", "dense", "--preset", "nope"]) == 2
-
-
-class TestWorkerThreads:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("MOLE_RT_THREADS", raising=False)
-        assert config.worker_threads() == 1
-
-    @pytest.mark.parametrize("raw", ["abc", "", "2.5", "0", "-3", "1e3"])
-    def test_rejects_what_is_not_a_positive_integer(self, monkeypatch, raw):
-        monkeypatch.setenv("MOLE_RT_THREADS", raw)
-        with pytest.raises(ValueError, match="MOLE_RT_THREADS"):
-            config.worker_threads()
-
-    @pytest.mark.parametrize("raw, cpus, want", [("1", 8, 1), ("3", 8, 3), ("8", 8, 8),
-                                                 ("9", 8, 8), ("100000", 4, 4),
-                                                 ("2", None, 1)])
-    def test_capped_at_cpu_count(self, monkeypatch, raw, cpus, want):
-        monkeypatch.setenv("MOLE_RT_THREADS", raw)
-        monkeypatch.setattr(config.os, "cpu_count", lambda: cpus)
-        assert config.worker_threads() == want

@@ -170,16 +170,6 @@ class TestGreedyDecode:
         res = greedy_decode(p, [rng.integers(0, p.cfg.vocab, size=4)], steps=4)
         assert res.meter.total_bytes == 0
 
-    def test_prefetch_service_mode_equivalence(self, tmp_path, rng):
-        p, infer, path = mole_lut_setup(tmp_path)
-        prompts = [rng.integers(0, p.cfg.vocab, size=4)]
-        with open_lut(path, threads=1) as h:
-            lazy = greedy_decode(infer, prompts, 5, "mole-lut", lut=h)
-        with open_lut(path, threads=3) as h:
-            eager = greedy_decode(infer, prompts, 5, "mole-lut", lut=h)
-        assert lazy.tokens == eager.tokens
-        assert lazy.meter.total_bytes == eager.meter.total_bytes
-
     def test_runtime_variant_mismatch_rejected(self, rng):
         p = tiny_dense()
         with pytest.raises(ValueError):

@@ -194,7 +194,7 @@ class TestMoeLayer:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((1, 3, p.cfg.d)).astype(np.float32)
         lv = p.layer(0)
-        got = moe_layer_forward(lv, x)
+        got, _ = moe_layer_forward(lv, x)
         hn = rmsnorm(x, lv.norm_gain("post_attn_norm"), RMS_EPS)
         w1, b1, w2, b2 = lv.expert(0)
         want = x + ffn_forward(hn, w1, b1, w2, b2)
@@ -207,14 +207,14 @@ class TestMoeLayer:
             p.tensors[f"layers.0.experts.{j}.b2"][:] = 0.0
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 3, p.cfg.d)).astype(np.float32)
-        out = moe_layer_forward(p.layer(0), x)
+        out, _ = moe_layer_forward(p.layer(0), x)
         assert np.array_equal(out, x)
 
     def test_matches_dense_evaluation_oracle(self):
         p = tiny_moe()
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 4, p.cfg.d)).astype(np.float32)
-        got = moe_layer_forward(p.layer(0), x)
+        got, _ = moe_layer_forward(p.layer(0), x)
         want = self._dense_eval_oracle(p.layer(0), x)
         assert np.max(np.abs(got - want)) < 1e-6
 
@@ -222,9 +222,20 @@ class TestMoeLayer:
         p = tiny_moe(N=3, k=3)
         rng = np.random.default_rng(9)
         x = rng.standard_normal((1, 4, p.cfg.d)).astype(np.float32)
-        got = moe_layer_forward(p.layer(0), x)
+        got, _ = moe_layer_forward(p.layer(0), x)
         want = self._dense_eval_oracle(p.layer(0), x)
         assert np.max(np.abs(got - want)) < 1e-6
+
+    def test_returns_the_routed_selection(self):
+        p = tiny_moe()
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((3, 4, p.cfg.d)).astype(np.float32)
+        lv = p.layer(0)
+        _, sel = moe_layer_forward(lv, x)
+        hn = rmsnorm(x, lv.norm_gain("post_attn_norm"), RMS_EPS)
+        _, want, _ = route(lv.router, hn, "moe", p.cfg.k)
+        assert sel.shape == (3, 4, p.cfg.k)
+        assert np.array_equal(sel, want)
 
 
 class TestMoleLayer:

@@ -47,13 +47,6 @@ class TestBuildLayerLut:
         b = build_layer_lut(p, 0, chunk_size=1024)
         assert a.values.tobytes() == b.values.tobytes()
 
-    def test_threaded_build_bit_identical(self, monkeypatch):
-        p = tiny_mole()
-        base = build_layer_lut(p, 0, chunk_size=9)
-        monkeypatch.setenv("MOLE_RT_THREADS", "4")
-        threaded = build_layer_lut(p, 0, chunk_size=9)
-        assert base.values.tobytes() == threaded.values.tobytes()
-
     def test_rebuild_deterministic(self):
         p = tiny_mole()
         a = build_layer_lut(p, 0)
