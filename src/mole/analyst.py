@@ -86,15 +86,6 @@ def fmt_millions(v: int) -> str:
     return f"{m:.1f}M"
 
 
-SYMBOLIC_ROWS = [
-    # model, flops, params in VRAM, params offloaded, params loaded per token
-    ("dense", "4dD_s", "2dD_s", "0", "0"),
-    ("moe (resident)", "4d(kD_r + D_s)", "2d(ND_r + D_s)", "0", "0"),
-    ("moe + expert offloading", "4d(kD_r + D_s)", "2d(kD_r + D_s)",
-     "2dND_r", "2dkD_r (worst case)"),
-    ("mole + LUT offloading", "4dD_s", "2dD_s", "dN|V|", "dN"),
-]
-
 # Published offloaded / per-token-loaded display values. The 1B mole-4E
 # loaded cell is flagged: the published "0.26M" is twice the closed-form
 # d*N*L = 131072 (~0.13M); the formula value is reported and the cell is a

@@ -258,10 +258,13 @@ def _resolve_shape(args) -> ModelConfig:
 
 
 def cmd_bench(args) -> int:
+    for name in ("steps", "batch"):
+        if getattr(args, name) <= 0:
+            raise ConfigError(name, f"must be positive, got {getattr(args, name)}")
     cfg = _resolve_shape(args)
-    runtime_variant = {"dense": "dense", "moe-offload": "moe", "mole-lut": "mole"}
-    if cfg.variant != runtime_variant[args.runtime]:
-        print(f"error: runtime {args.runtime} needs a {runtime_variant[args.runtime]} "
+    variant = engine.RUNTIME_VARIANTS[args.runtime]
+    if cfg.variant != variant:
+        print(f"error: runtime {args.runtime} needs a {variant} "
               f"shape, got {cfg.variant}", file=sys.stderr)
         return EXIT_USAGE
     bw = analyst.BandwidthModel(bytes_per_second=args.bandwidth_gbps * 1e9)
@@ -375,8 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--checkpoint", required=True)
     i.add_argument("--lut", default=None)
     i.add_argument("--runtime", default="auto",
-                   choices=["auto", "dense", "moe", "moe-offload",
-                            "mole-train", "mole-lut"])
+                   choices=["auto", *engine.RUNTIME_VARIANTS])
     i.add_argument("--prompt", action="append", required=True,
                    help="comma-separated token ids; repeat for more lanes")
     i.add_argument("--steps", type=int, default=16)

@@ -18,10 +18,12 @@ Three real runtimes (they run the actual model):
 All lanes decode together: prefill is one packed forward over every prompt
 token of every lane, and each step one packed forward over one new token
 per lane (``model.forward_lanes``, which runs the layer loop of
-``model.model_forward`` over KV caches). Row-wise work runs once over all rows;
-only the attention core runs per group of lanes with equal (cached, new)
-lengths, and no lane is padded. Each lane therefore gets the bits it gets
-decoding alone, and the meter is what the lanes would be charged alone.
+``model.model_forward`` over one ``DecodeState``: per layer, a key arena and
+a value arena shared by all lanes, plus each lane's length). Row-wise work
+runs once over all rows; only the attention core runs per group of lanes
+with equal (cached, new) lengths, over their written spans, so no lane is
+padded. Each lane therefore gets the bits it gets decoding alone, and the
+meter is what the lanes would be charged alone.
 
 One link model (``BandwidthModel``) prices every step's transfer time.
 Plus a model-free bandwidth simulator (uniform-random routing) for shapes
@@ -153,6 +155,12 @@ class StepMeter:
 # Greedy decode
 # ---------------------------------------------------------------------------
 
+# Every decode runtime and the model variant it runs; a variant's first
+# runtime is its resident ("auto") one.
+RUNTIME_VARIANTS = {"dense": "dense", "moe": "moe", "moe-offload": "moe",
+                    "mole-train": "mole", "mole-lut": "mole"}
+
+
 @dataclass
 class DecodeResult:
     tokens: list[list[int]]  # generated ids per lane
@@ -170,17 +178,22 @@ def greedy_decode(
     runtime: str = "auto",
     lut=None,
     seed: int = 0,
-    bytes_per_element: int = 4,
     bandwidth: BandwidthModel | None = None,
 ) -> DecodeResult:
     """Greedy decoding with transfer metering.
 
-    runtime: "dense", "moe", "mole-train", "mole-lut", "moe-offload", or
-    "auto" (resident runtime for the model's variant). Prompts may have
-    different lengths; each lane generates ``steps`` tokens. Sampling is
-    argmax with ties to the lower token id. The meter's step -1 row covers
-    prefill (mole-lut prefetches rows for every prompt position; the expert
-    cache starts empty and is not charged for the prompt pass).
+    runtime: one of ``RUNTIME_VARIANTS`` fitting the model's variant, or
+    "auto" (its resident runtime). Prompts may have different lengths; each
+    lane generates ``steps`` tokens into one ``DecodeState`` whose arenas
+    hold the longest prompt plus ``steps``. Sampling is argmax with ties to
+    the lower token id. The meter charges ``params.dtype.itemsize`` bytes per
+    element; its step -1 row covers prefill (mole-lut prefetches rows for
+    every prompt position; the expert cache starts empty and is not charged
+    for the prompt pass).
+
+    Lanes may decode past ``max_seq``, the training length that
+    ``model_forward`` enforces: rotary position encoding extrapolates to
+    any position, though the model was never trained there.
     """
     cfg = params.cfg
     if steps <= 0:
@@ -188,10 +201,8 @@ def greedy_decode(
     if not prompts or any(len(np.ravel(p)) == 0 for p in prompts):
         raise ValueError("every lane needs a non-empty prompt")
     if runtime == "auto":
-        runtime = {"dense": "dense", "moe": "moe", "mole": "mole-train"}[cfg.variant]
-    valid = {"dense": ("dense",), "moe": ("moe", "moe-offload"),
-             "mole": ("mole-train", "mole-lut")}
-    if runtime not in valid[cfg.variant]:
+        runtime = next(r for r, v in RUNTIME_VARIANTS.items() if v == cfg.variant)
+    if RUNTIME_VARIANTS.get(runtime) != cfg.variant:
         raise ValueError(f"runtime {runtime!r} does not fit variant {cfg.variant!r}")
     if runtime == "mole-lut" and lut is None:
         raise ValueError("mole-lut runtime needs an open LUT handle")
@@ -199,8 +210,8 @@ def greedy_decode(
     lanes = len(prompts)
     prompts = [np.ravel(np.asarray(p)) for p in prompts]
     lens = [len(p) for p in prompts]
-    meter = StepMeter(bytes_per_element=bytes_per_element, bandwidth=bandwidth)
-    states = [init_decode_state(params, len(p) + steps) for p in prompts]
+    meter = StepMeter(bytes_per_element=params.dtype.itemsize, bandwidth=bandwidth)
+    state = init_decode_state(params, lanes, max(lens) + steps)
     cache_states = make_cache_states(cfg, lanes, seed) if runtime == "moe-offload" else None
     mole_lut = runtime == "mole-lut"
     form = "lut_form" if mole_lut else "train_form"
@@ -209,7 +220,7 @@ def greedy_decode(
     # prefill: every prompt in one packed forward; a lane's next token comes
     # from its last row
     before = lut.bytes_read if mole_lut else 0
-    logits = forward_tokens(params, prompts, states, form=form, lut=lut)
+    logits = forward_tokens(params, prompts, state, form=form, lut=lut)
     current = [greedy_pick(row) for row in logits[np.cumsum(lens) - 1]]
     meter.add(-1, lanes, sum(lens) * lut_row_elements if mole_lut else 0, 0,
               nbytes=lut.bytes_read - before if mole_lut else 0)
@@ -220,7 +231,7 @@ def greedy_decode(
             tokens[lane].append(tok)
         before = lut.bytes_read if mole_lut else 0
         sel: list[np.ndarray] | None = [] if runtime == "moe-offload" else None
-        logits = forward_lanes(params, [[tok] for tok in current], states,
+        logits = forward_lanes(params, [[tok] for tok in current], state,
                                form=form, lut=lut, moe_sel=sel)
         if mole_lut:
             meter.add(step, lanes, lanes * lut_row_elements, 0, nbytes=lut.bytes_read - before)
@@ -259,15 +270,12 @@ def simulate_transfer_meter(
     bytes_per_element: int = 2,
     bandwidth: BandwidthModel | None = None,
     routing_trace: list[list[list[set[int]]]] | None = None,
-    lut_row_bytes: int | None = None,
 ) -> StepMeter:
     """Per-step transfer accounting without running the model.
 
     moe: uniform-random routing (or a replayed trace indexed
     [step][layer][lane]) through the expert cache policy. mole: the constant
-    lanes * N * d * L row fetch, at ``lut_row_bytes`` per (token, expert) row
-    when given (quantized tables) or d * bytes_per_element otherwise. dense:
-    zero transfer rows.
+    lanes * N * d * L row fetch. dense: zero transfer rows.
     """
     meter = StepMeter(bytes_per_element=bytes_per_element, bandwidth=bandwidth)
     if cfg.variant == "moe":
@@ -284,10 +292,8 @@ def simulate_transfer_meter(
             meter.add(step, batch, loaded * _expert_elements(cfg), loaded)
     elif cfg.variant == "mole":
         per_step = batch * cfg.N * cfg.d * cfg.L
-        row_bytes = cfg.d * bytes_per_element if lut_row_bytes is None else lut_row_bytes
-        per_step_bytes = batch * cfg.N * cfg.L * row_bytes
         for step in range(steps):
-            meter.add(step, batch, per_step, 0, nbytes=per_step_bytes)
+            meter.add(step, batch, per_step, 0)
     else:
         for step in range(steps):
             meter.add(step, batch, 0, 0)

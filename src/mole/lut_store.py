@@ -10,7 +10,7 @@ File layout (little-endian throughout):
     offset 24   d          u32
     offset 28   dtype      u8   (0=fp32, 1=fp16, 2=nf4, 3=nf3)
     offset 29   block_size u32  (0 for unquantized)
-    offset 33   zero padding to byte 64
+    offset 33   reserved, zero to byte 64 (a reader rejects any other value)
     offset 64   payload
 
 Payload values are ordered layer-major, token-major, expert-major,
@@ -40,6 +40,7 @@ MAGIC = b"MOLELUT1"
 VERSION = 1
 HEADER_SIZE = 64
 _HEADER_FMT = "<8sIIIIIBI"
+_HEADER_USED = struct.calcsize(_HEADER_FMT)  # 33; the rest of the header is zero
 
 DTYPE_CODES = {"fp32": 0, "fp16": 1, "nf4": 2, "nf3": 3}
 CODE_DTYPES = {v: k for k, v in DTYPE_CODES.items()}
@@ -108,6 +109,10 @@ class DimensionError(LutFormatError):
     """Header dimensions are zero, inconsistent, or overflow sanity bounds."""
 
 
+class ReservedBytesError(LutFormatError):
+    """A reserved header byte (offsets 33-63) is not zero."""
+
+
 class TicketError(RuntimeError):
     """A fetch ticket was awaited more than once."""
 
@@ -118,7 +123,6 @@ class LutTable:
 
     layer_index: int
     values: np.ndarray
-    precision: str = "fp32"
 
     def __post_init__(self):
         if self.values.ndim != 3:
@@ -310,6 +314,10 @@ class LutHandle(RowSource):
             struct.unpack_from(_HEADER_FMT, head))
         if version != VERSION:
             raise LutVersionError(f"{path}: unsupported LUT version {version}")
+        offset = next((i for i in range(_HEADER_USED, HEADER_SIZE) if head[i]), None)
+        if offset is not None:
+            raise ReservedBytesError(f"{path}: reserved header byte {offset} is "
+                                     f"{head[offset]}, must be 0")
         if code not in CODE_DTYPES:
             raise DimensionError(f"{path}: unknown dtype code {code}")
         dtype = CODE_DTYPES[code]
@@ -395,5 +403,5 @@ def read_all_tables(path: str | Path) -> list[LutTable]:
         tables = []
         for layer in range(hdr.n_layers):
             rows = h.gather(layer, np.arange(hdr.vocab))
-            tables.append(LutTable(layer, rows, precision=hdr.dtype))
+            tables.append(LutTable(layer, rows))
         return tables

@@ -13,11 +13,12 @@ Variants:
 Block layout is sequential (attention sub-layer, then expert sub-layer), with
 RMS pre-norms and residual connections around each. One layer loop serves the
 full-sequence forward (training, verification) and the packed-lane forward
-(prefill, decode); they differ only in how attention sees its keys. The mole
-training form and LUT form differ only in where the expert rows come from:
-expert FFNs on embedding rows, or a row source (``prefetch``/``await_rows``)
-reading pre-computed tables. Both combine the rows in one sub-layer, so given
-identical rows they agree bit-for-bit.
+(prefill, decode); they differ only in how attention sees its keys: its own
+sequence, or a ``DecodeState`` whose per-layer KV arenas hold every lane.
+The mole training form and LUT form differ only in where the expert rows
+come from: expert FFNs on embedding rows, or a row source
+(``prefetch``/``await_rows``) reading pre-computed tables. Both combine the
+rows in one sub-layer, so given identical rows they agree bit-for-bit.
 
 Parameters live in a flat name -> ndarray dict (see ``init_params`` for the
 naming scheme); that representation doubles as the checkpoint manifest and as
@@ -27,7 +28,7 @@ the shape mirror for gradients and optimizer state.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,7 +219,7 @@ def attention_forward(
     layer: LayerView,
     x: np.ndarray,
     positions: np.ndarray,
-    kv: dict | list[dict] | None = None,
+    kv: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     cache: dict | None = None,
     bounds: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -228,10 +229,11 @@ def attention_forward(
     ``kv``, each sequence of ``x`` (B, T, d) attends causally over its own
     rows and ``cache`` receives what backprop needs. With ``kv``, ``x``
     (1, R, d) packs the new rows of several lanes: lane b owns rows
-    ``bounds[b]:bounds[b + 1]`` and ``kv[b]`` is its cache ("k"/"v" of shape
-    (1, H, capacity, d_head), "len"); a single dict is one lane owning every
-    row. New keys/values are appended and each lane attends over its own
-    prefix (see ``_attend_lanes``), so a lane gets the bits it gets alone.
+    ``bounds[b]:bounds[b + 1]``, and ``kv`` is the layer's key arena, value
+    arena (lanes, H, capacity, d_head) and the lanes' cached lengths. New
+    keys/values are written after each lane's cached ones and each lane
+    attends over its own prefix (see ``_attend_lanes``), so a lane gets the
+    bits it gets alone.
     """
     cfg = layer.cfg
     b, t, d = x.shape
@@ -255,9 +257,7 @@ def attention_forward(
             raise ValueError("attention cache needs the full-sequence form (kv=None)")
         if b != 1:
             raise ShapeError(f"packed lanes need x of shape (1, R, d), got {x.shape}")
-        if isinstance(kv, dict):
-            kv, bounds = [kv], (0, t)
-        ctx = _attend_lanes(q, k_, v, kv, bounds, scale)
+        ctx = _attend_lanes(q, k_, v, *kv, bounds, scale)
     merged = merge_heads(ctx)
     attn_out = matmul(merged, layer.attn_wo) + layer.attn_bo
     out = x + attn_out
@@ -276,35 +276,30 @@ def _attend(q, keys, vals, mask, scale):
     return probs, matmul(probs, vals)
 
 
-def _attend_lanes(q, k_, v, kv, bounds, scale):
-    """Append each lane's new keys/values to its cache, then run the
-    attention core once per group of lanes with equal (cached, new) lengths.
+def _attend_lanes(q, k_, v, keys, vals, lengths, bounds, scale):
+    """Write each lane's new keys/values into the arenas after its
+    ``lengths[b]`` cached ones, then run the attention core once per group
+    of lanes with equal (cached, new) lengths.
 
     Within a group every lane has the same shapes and causal mask, and the
     stacked ``matmul`` computes each lane's matrices on their own, so
-    grouping changes no bits."""
+    grouping changes no bits. A group reads only its lanes' written spans,
+    so the arena's unwritten tail never reaches the core."""
     h, dh = q.shape[1], q.shape[3]
-    bounds = np.asarray(bounds)
     edges = bounds.tolist()
     groups: dict[tuple[int, int], list[int]] = {}
-    for lane, c in enumerate(kv):
+    for lane, past in enumerate(lengths.tolist()):
         lo, hi = edges[lane], edges[lane + 1]
-        past = c["len"]
-        if past + hi - lo > c["k"].shape[2]:
-            raise ShapeError("KV cache capacity exceeded")
-        c["k"][:, :, past : past + hi - lo] = k_[:, :, lo:hi]
-        c["v"][:, :, past : past + hi - lo] = v[:, :, lo:hi]
-        c["len"] = past + hi - lo
+        keys[lane, :, past : past + hi - lo] = k_[0, :, lo:hi]
+        vals[lane, :, past : past + hi - lo] = v[0, :, lo:hi]
         groups.setdefault((past, hi - lo), []).append(lane)
     ctx = np.empty_like(q)
     for (past, n), lanes in groups.items():
         span = past + n
         rows = (bounds[lanes][:, None] + np.arange(n)).ravel()
         qg = q[0][:, rows].reshape(h, len(lanes), n, dh).transpose(1, 0, 2, 3)
-        keys = np.concatenate([kv[b]["k"][:, :, :span] for b in lanes])
-        vals = np.concatenate([kv[b]["v"][:, :, :span] for b in lanes])
         mask = np.arange(span)[None, :] > np.arange(past, span)[:, None]
-        _, ctx_g = _attend(qg, keys, vals, mask, scale)
+        _, ctx_g = _attend(qg, keys[lanes, :, :span], vals[lanes, :, :span], mask, scale)
         ctx[0][:, rows] = ctx_g.transpose(1, 0, 2, 3).reshape(h, len(lanes) * n, dh)
     return ctx
 
@@ -407,10 +402,10 @@ def mole_layer_forward(
     ``rows`` (N, ..., d) are the routed-expert outputs for the current
     tokens, or a no-argument callable returning them that runs after the
     shared expert. The training form passes one running the expert FFNs on
-    the embedding rows (``mole_expert_rows``); the LUT form one awaiting the
-    table rows fetched since layer entry, so the fetch overlaps attention,
-    the router and the shared expert. Both forms combine here, so equal rows
-    give equal bits.
+    the embedding rows (``mole_expert_rows``); the LUT form one redeeming
+    the ticket ``prefetch`` issued at layer entry, so the table rows are read
+    inside ``await_rows``, after the router and the shared expert. Both
+    forms combine here, so equal rows give equal bits.
     """
     cfg = layer.cfg
     hn = rmsnorm(x, layer.norm_gain("post_attn_norm"), RMS_EPS)
@@ -480,7 +475,7 @@ def _forward(
     positions: np.ndarray,
     form: str,
     lut,
-    kv: list[list[dict]] | None = None,
+    state: DecodeState | None = None,
     bounds: np.ndarray | None = None,
     cache: dict | None = None,
     collect_hidden: list | None = None,
@@ -489,9 +484,9 @@ def _forward(
     """The layer loop of both forward forms: logits (B, T, vocab) for token
     ``ids`` (B, T) at absolute ``positions`` (T,).
 
-    Without ``kv`` every sequence attends causally over its own rows. With
-    ``kv`` (per layer, one cache per lane) ``ids`` is one (1, R) block of
-    packed lanes split by ``bounds``, and attention extends the caches (see
+    Without ``state`` every sequence attends causally over its own rows.
+    With a DecodeState ``ids`` is one (1, R) block of packed lanes split by
+    ``bounds``, and each layer's attention writes into its arenas (see
     ``attention_forward``). mole LUT rows are prefetched for every id at
     layer entry and awaited inside the expert sub-layer.
     """
@@ -513,8 +508,8 @@ def _forward(
         lv = params.layer(i)
         lc: dict | None = {} if cache is not None else None
         ticket = lut.prefetch(i, flat) if mole_lut else None
-        x = attention_forward(lv, x, positions, kv=None if kv is None else kv[i],
-                              cache=lc, bounds=bounds)
+        x = attention_forward(lv, x, positions, cache=lc, bounds=bounds,
+                              kv=None if state is None else (state.k[i], state.v[i], state.lengths))
         if lc is not None:
             lc["x_mid"] = x
         if cfg.variant == "dense":
@@ -547,69 +542,62 @@ def _forward(
 
 @dataclass
 class DecodeState:
-    """Per-lane KV caches for autoregressive decoding (single owner)."""
+    """The KV arenas of one packed decode (single owner): per layer, every
+    lane's keys ``k[i]`` and values ``v[i]`` (lanes, H, capacity, d_head),
+    zero where nothing was written; ``lengths[b]`` is lane b's cached
+    length, the position of its next token."""
 
-    kv: list[dict] = field(default_factory=list)  # per layer: {"k","v","len"}
-    position: int = 0
+    k: list[np.ndarray]
+    v: list[np.ndarray]
+    lengths: np.ndarray
 
 
-def init_decode_state(params: ModelParams, max_len: int) -> DecodeState:
+def init_decode_state(params: ModelParams, lanes: int, capacity: int) -> DecodeState:
     cfg = params.cfg
-    state = DecodeState()
-    for _ in range(cfg.L):
-        state.kv.append({
-            "k": np.zeros((1, cfg.n_heads, max_len, cfg.d_head), dtype=params.dtype),
-            "v": np.zeros((1, cfg.n_heads, max_len, cfg.d_head), dtype=params.dtype),
-            "len": 0,
-        })
-    return state
+    shape = (lanes, cfg.n_heads, capacity, cfg.d_head)
+    return DecodeState(k=[np.zeros(shape, dtype=params.dtype) for _ in range(cfg.L)],
+                       v=[np.zeros(shape, dtype=params.dtype) for _ in range(cfg.L)],
+                       lengths=np.zeros(lanes, dtype=np.int64))
 
 
-def forward_tokens(params: ModelParams, ids, state: DecodeState | list[DecodeState],
+def forward_tokens(params: ModelParams, ids: list, state: DecodeState,
                    form: str = "train_form", lut=None) -> np.ndarray:
-    """Run new tokens through the model, extending the KV caches. One lane:
-    ``ids`` (T,) and a DecodeState, returning logits (T, vocab). Several:
-    per-lane id arrays and DecodeStates, run by ``forward_lanes``."""
-    if isinstance(state, DecodeState):
-        return forward_lanes(params, [ids], [state], form=form, lut=lut)
+    """Prefill: run every lane's prompt ``ids[b]`` through ``forward_lanes``
+    into a fresh ``state``; returns logits (R, vocab), lane by lane."""
     return forward_lanes(params, ids, state, form=form, lut=lut)
 
 
 def forward_lanes(
     params: ModelParams,
     ids: list,
-    states: list[DecodeState],
+    state: DecodeState,
     form: str = "train_form",
     lut=None,
     moe_sel: list | None = None,
 ) -> np.ndarray:
-    """One packed forward over the new tokens ``ids[b]`` of each lane b,
-    appended to ``states[b]``; returns logits (R, vocab), lane by lane.
+    """One packed forward over the new tokens ``ids[b]`` of each lane b, at
+    positions ``state.lengths[b]`` onward and appended to its arena rows;
+    returns logits (R, vocab), lane by lane.
 
-    The R new rows form one (1, R, d) block with per-row positions, so every
-    row-wise op (norms, projections, rotary, router, FFNs, LUT combine,
-    top-k experts, head) runs once over all rows. Only the attention core is
-    per lane group. ``matmul`` fixes each row's reduction whatever the row
-    count and no lane is padded, so each lane gets the bits it gets alone.
-    The layer loop is ``model_forward``'s. ``moe_sel`` (a list) receives
-    each moe layer's top-k selection (R, k), in layer order.
+    The R new rows form one (1, R, d) block, so every row-wise op (norms,
+    projections, rotary, router, FFNs, LUT combine, top-k experts, head)
+    runs once over all rows. Only the attention core is per lane group.
+    ``matmul`` fixes each row's reduction whatever the row count and no lane
+    is padded, so each lane gets the bits it gets alone. The layer loop is
+    ``model_forward``'s. ``moe_sel`` (a list) receives each moe layer's
+    top-k selection (R, k), in layer order.
     """
-    cfg = params.cfg
     ids = [np.ravel(np.asarray(t)) for t in ids]
-    lens = [t.size for t in ids]
-    for st, n in zip(states, lens):
-        if st.position + n > st.kv[0]["k"].shape[2]:
-            raise ShapeError("decode state capacity exceeded")
-        if st.kv[0]["len"] != st.position:
-            raise ShapeError("cache length disagrees with current position")
+    if len(ids) != len(state.lengths):
+        raise ShapeError(f"{len(ids)} lanes of tokens for a state of {len(state.lengths)} lanes")
+    lens = np.array([t.size for t in ids], dtype=np.int64)
+    if np.any(state.lengths + lens > state.k[0].shape[2]):
+        raise ShapeError("decode state capacity exceeded")
     bounds = np.concatenate(([0], np.cumsum(lens)))
-    positions = np.concatenate([np.arange(st.position, st.position + n)
-                                for st, n in zip(states, lens)])
+    positions = np.repeat(state.lengths - bounds[:-1], lens) + np.arange(bounds[-1])
     logits = _forward(params, np.concatenate(ids)[None, :], positions, form, lut,
-                      kv=[[st.kv[i] for st in states] for i in range(cfg.L)],
-                      bounds=bounds, moe_sel=moe_sel)
-    for st, n in zip(states, lens):
-        st.position += n
+                      state=state, bounds=bounds, moe_sel=moe_sel)
+    state.lengths += lens
     return logits[0]
 
 

@@ -230,5 +230,12 @@ class TestBenchAndReport:
         out = capsys.readouterr().out
         assert "custom" in out and "PASS" not in out
 
+    @pytest.mark.parametrize("flag", ["--steps", "--batch"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_bench_nonpositive_count_exit_2_names_field(self, flag, value, capsys):
+        assert run(["bench", "--runtime", "dense", "--preset", "410M-dense",
+                    flag, value]) == 2
+        assert f"config field '{flag[2:]}': must be positive" in capsys.readouterr().err
+
     def test_unknown_preset_exit_2(self, capsys):
         assert run(["bench", "--runtime", "dense", "--preset", "nope"]) == 2

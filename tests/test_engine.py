@@ -13,7 +13,9 @@ from mole.engine import (
     simulate_transfer_meter,
     step_latency,
 )
+from mole.kernels import ShapeError
 from mole.lut_store import open_lut, write_lut
+from mole.model import model_forward
 from mole.reparam import reparameterize
 
 
@@ -180,6 +182,19 @@ class TestGreedyDecode:
         with pytest.raises(ValueError):
             greedy_decode(p, [np.array([1])], 0)
 
+    def test_decode_past_max_seq_extrapolates(self, rng):
+        # max_seq bounds full-sequence forwards only; decode positions run on
+        p = tiny_dense(max_seq=16)
+        prompt = rng.integers(0, p.cfg.vocab, size=14)
+        res, logits, kv, _ = recorded_decode(p, [prompt], 10, "dense")
+        assert len(res.tokens[0]) == 10
+        assert [n for _, _, n in kv[0]] == [24] * p.cfg.L
+        assert all(np.isfinite(np.frombuffer(row, np.float32)).all() for row in logits[0])
+        full = model_forward(p, prompt)[0, -1]
+        assert np.max(np.abs(np.frombuffer(logits[0][0], np.float32) - full)) < 1e-6
+        with pytest.raises(ShapeError):
+            model_forward(p, rng.integers(0, p.cfg.vocab, size=17))
+
     def test_quantized_lut_decode_runs(self, tmp_path, rng):
         p, infer, path = mole_lut_setup(tmp_path, dtype="nf3", block=8, d=32,
                                         D_r=24, N=2)
@@ -194,8 +209,10 @@ class TestGreedyDecode:
 
 def recorded_decode(params, prompts, steps, runtime, lut=None, seed=0):
     """greedy_decode, also returning every logits row it picked from (per
-    lane, prefill row first), each lane's KV cache bytes, and the activated
-    expert sets handed to the moe-offload cache (per step, layer, lane)."""
+    lane, prefill row first), each lane's written KV arena bytes and length
+    per layer, and the activated expert sets handed to the moe-offload cache
+    (per step, layer, lane). Checks that the rest of each lane's arena rows
+    is still zero."""
     picked, states, activated = [], [], []
     pick, init, update = engine.greedy_pick, engine.init_decode_state, engine.cache_update
 
@@ -203,8 +220,8 @@ def recorded_decode(params, prompts, steps, runtime, lut=None, seed=0):
         picked.append(row.tobytes())
         return pick(row)
 
-    def record_init(p, n):
-        states.append(init(p, n))
+    def record_init(p, lanes, capacity):
+        states.append(init(p, lanes, capacity))
         return states[-1]
 
     def record_update(state, lanes, batch):
@@ -218,7 +235,12 @@ def recorded_decode(params, prompts, steps, runtime, lut=None, seed=0):
         res = greedy_decode(params, prompts, steps, runtime=runtime, lut=lut, seed=seed)
     lanes = len(prompts)
     logits = [picked[b::lanes] for b in range(lanes)]
-    kv = [[(c["k"].tobytes(), c["v"].tobytes(), c["len"]) for c in s.kv] for s in states]
+    (state,) = states
+    kv = []
+    for b, n in enumerate(state.lengths.tolist()):
+        assert not any(arena[b, :, n:].any() for arena in state.k + state.v)
+        kv.append([(k[b, :, :n].tobytes(), v[b, :, :n].tobytes(), n)
+                   for k, v in zip(state.k, state.v)])
     layers = params.cfg.L
     routing = [activated[s * layers:(s + 1) * layers] for s in range(steps)]
     return res, logits, kv, routing
@@ -261,7 +283,7 @@ class TestPackedLanes:
         for b, (res, lane_logits, lane_kv, lane_routing) in enumerate(alone):
             assert together.tokens[b] == res.tokens[0]
             assert logits[b] == lane_logits[0]  # prefill row and every step, byte for byte
-            assert kv[b] == lane_kv[0]
+            assert kv[b] == lane_kv[0]  # written span byte for byte; the tail stays zero
             assert [[layer[b] for layer in step] for step in routing] == \
                    [[layer[0] for layer in step] for step in lane_routing]
         return params, prompts, together, [a[0] for a in alone], routing

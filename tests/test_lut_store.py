@@ -18,6 +18,7 @@ from mole.lut_store import (
     LutFormatError,
     LutVersionError,
     PayloadLengthError,
+    ReservedBytesError,
     TicketError,
     _dequantize_blocks,
     _quantize_blocks,
@@ -240,6 +241,18 @@ class TestFileFormat:
         head = struct.pack("<8sIIIIIBI", MAGIC, 1, 2**31, 2**31, 2**31, 1024, 0, 0)
         path.write_bytes(head + b"\x00" * (HEADER_SIZE - len(head)))
         with pytest.raises(DimensionError):
+            open_lut(path)
+
+    @pytest.mark.parametrize("offset", range(33, HEADER_SIZE))
+    def test_nonzero_reserved_byte_names_offset(self, fuzz_lut, tmp_path, offset):
+        _, raw = fuzz_lut
+        buf = bytearray(raw)
+        buf[offset] = 0x40
+        buf[HEADER_SIZE - 1] = 1  # a later non-zero byte: the first one is named
+        path = tmp_path / "r.lut"
+        path.write_bytes(bytes(buf))
+        with pytest.raises(ReservedBytesError, match=f"reserved header byte {offset} is "
+                                                      f"{buf[offset]}, must be 0"):
             open_lut(path)
 
     def test_invalid_block_for_unquantized(self, tmp_path):

@@ -5,14 +5,14 @@ import pytest
 
 from conftest import tiny_dense, tiny_moe, tiny_mole
 
-from mole.kernels import rmsnorm, softmax
+from mole.kernels import ShapeError, rmsnorm, softmax
 from mole.model import (
     RMS_EPS,
     attention_forward,
     combine_expert_rows,
     embed,
     ffn_forward,
-    forward_tokens,
+    forward_lanes,
     init_decode_state,
     model_forward,
     moe_layer_forward,
@@ -83,13 +83,11 @@ class TestAttention:
         t = 7
         x = rng.standard_normal((1, t, p.cfg.d)).astype(np.float32)
         full = attention_forward(p.layer(0), x, np.arange(t))
-        kv = {
-            "k": np.zeros((1, p.cfg.n_heads, t, p.cfg.d_head), np.float32),
-            "v": np.zeros((1, p.cfg.n_heads, t, p.cfg.d_head), np.float32),
-            "len": 0,
-        }
+        keys = np.zeros((1, p.cfg.n_heads, t, p.cfg.d_head), np.float32)
+        vals = np.zeros_like(keys)
         rows = [
-            attention_forward(p.layer(0), x[:, i : i + 1], np.array([i]), kv=kv)
+            attention_forward(p.layer(0), x[:, i : i + 1], np.array([i]),
+                              kv=(keys, vals, np.array([i])), bounds=np.array([0, 1]))
             for i in range(t)
         ]
         stepped = np.concatenate(rows, axis=1)
@@ -349,10 +347,20 @@ class TestModelForward:
         for p in (tiny_dense(), tiny_moe(), tiny_mole()):
             ids = np.array([2, 7, 1, 8, 2, 8])
             full = model_forward(p, ids)[0]
-            state = init_decode_state(p, len(ids))
-            rows = [forward_tokens(p, [tok], state) for tok in ids]
+            state = init_decode_state(p, 1, len(ids))
+            rows = [forward_lanes(p, [[tok]], state) for tok in ids]
             stepped = np.concatenate(rows, axis=0)
             assert np.max(np.abs(stepped - full)) < 1e-6, p.cfg.variant
+
+    def test_forward_lanes_checks_lanes_and_capacity(self):
+        p = tiny_dense()
+        state = init_decode_state(p, 2, 4)
+        with pytest.raises(ShapeError, match="3 lanes of tokens for a state of 2"):
+            forward_lanes(p, [[1], [2], [3]], state)
+        forward_lanes(p, [[1, 2, 3], [4]], state)
+        with pytest.raises(ShapeError, match="capacity"):
+            forward_lanes(p, [[5, 6], [7]], state)  # lane 0 would need 5 rows
+        assert state.lengths.tolist() == [3, 1]  # a rejected step moves nothing
 
     def test_mole_lut_form_requires_handle(self):
         p = tiny_mole()
