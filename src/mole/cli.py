@@ -207,9 +207,24 @@ def check_lut_matches(cfg: ModelConfig, header: lut_store.LutFileHeader) -> None
         raise ConfigError("lut", "header dims do not match the checkpoint: " + ", ".join(bad))
 
 
+def _parse_prompt(text: str, vocab: int) -> np.ndarray:
+    """One ``--prompt`` value: comma-separated token ids in [0, vocab)."""
+    ids = []
+    for tok in text.split(","):
+        try:
+            ids.append(int(tok))
+            valid = 0 <= ids[-1] < vocab
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ConfigError("--prompt", f"token {tok!r} of {text!r} is not a token id "
+                              f"of the checkpoint's vocab [0, {vocab})")
+    return np.array(ids)
+
+
 def cmd_infer(args) -> int:
     params = checkpoint.load_model(args.checkpoint)
-    prompts = [np.array([int(t) for t in p.split(",")]) for p in args.prompt]
+    prompts = [_parse_prompt(p, params.cfg.vocab) for p in args.prompt]
     lut = None
     run_params = params
     try:

@@ -20,10 +20,10 @@ token of every lane, and each step one packed forward over one new token
 per lane (``model.forward_lanes``, which runs the layer loop of
 ``model.model_forward`` over one ``DecodeState``: per layer, a key arena and
 a value arena shared by all lanes, plus each lane's length). Row-wise work
-runs once over all rows; only the attention core runs per group of lanes
-with equal (cached, new) lengths, over their written spans, so no lane is
-padded. Each lane therefore gets the bits it gets decoding alone, and the
-meter is what the lanes would be charged alone.
+runs once over all rows, and the attention core once over all lanes; its
+gemms have fixed shapes and its padding adds exact zeros. Each lane
+therefore gets the bits it gets decoding alone, and the meter is what the
+lanes would be charged alone.
 
 One link model (``BandwidthModel``) prices every step's transfer time.
 Plus a model-free bandwidth simulator (uniform-random routing) for shapes

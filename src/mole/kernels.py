@@ -34,8 +34,10 @@ TILED = "tiled-blas"
 SEQUENTIAL = "sequential"
 
 # (K, N) shapes the probe runs: a model-sized one, ragged edges on both
-# axes, and N == 1, which numpy sends to gemv rather than gemm.
-_PROBE_SHAPES = ((64, 192), (33, 17), (7, 1))
+# axes, N == 1, which numpy sends to gemv rather than gemm, and the two
+# gemms of the decode attention core at d_head 16 (``model._attend_lanes``),
+# whose padding invariance rests on this row invariance.
+_PROBE_SHAPES = ((64, 192), (33, 17), (7, 1), (16, 16))
 
 ROTARY_BASE = 10000.0
 

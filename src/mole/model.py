@@ -37,6 +37,9 @@ from .kernels import ShapeError, apply_rotary, gelu, matmul, rmsnorm, softmax
 
 RMS_EPS = 1e-5
 INIT_STD = 0.02
+# Key positions per block of the decode attention core (``_attend_lanes``);
+# decode arenas hold whole blocks.
+KEY_BLOCK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +222,22 @@ def attention_forward(
     layer: LayerView,
     x: np.ndarray,
     positions: np.ndarray,
-    kv: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    kv: tuple[np.ndarray, np.ndarray, PackedStep] | None = None,
     cache: dict | None = None,
-    bounds: np.ndarray | None = None,
 ) -> np.ndarray:
     """Residual attention sub-layer: x + Attn(input_norm(x)).
 
     ``positions`` are the absolute positions of the rows of ``x``. Without
     ``kv``, each sequence of ``x`` (B, T, d) attends causally over its own
     rows and ``cache`` receives what backprop needs. With ``kv``, ``x``
-    (1, R, d) packs the new rows of several lanes: lane b owns rows
-    ``bounds[b]:bounds[b + 1]``, and ``kv`` is the layer's key arena, value
-    arena (lanes, H, capacity, d_head) and the lanes' cached lengths. New
-    keys/values are written after each lane's cached ones and each lane
-    attends over its own prefix (see ``_attend_lanes``), so a lane gets the
-    bits it gets alone.
+    (1, R, d) packs the new rows of several lanes, and ``kv`` is the layer's
+    key arena, value arena (lanes, H, slots, d_head), ``slots`` a multiple
+    of ``KEY_BLOCK``, and the step's ``PackedStep`` (which lane owns each
+    row, and where it goes). One fixed-split core writes the new keys and
+    values and attends every lane over its own prefix, with bits that do not
+    depend on padding (``_attend_lanes``), so a lane gets the bits it gets
+    alone. The full-sequence form keeps the BLAS core (``_attend``); the two
+    forms agree to rounding, not bit for bit.
     """
     cfg = layer.cfg
     b, t, d = x.shape
@@ -252,13 +256,13 @@ def attention_forward(
         # causal mask: query at position p attends to key positions <= p
         mask = np.asarray(positions)[None, :] > np.asarray(positions)[:, None]
         probs, ctx = _attend(q, k_, v, mask, scale)
+        merged = merge_heads(ctx)
     else:
         if cache is not None:
             raise ValueError("attention cache needs the full-sequence form (kv=None)")
         if b != 1:
             raise ShapeError(f"packed lanes need x of shape (1, R, d), got {x.shape}")
-        ctx = _attend_lanes(q, k_, v, *kv, bounds, scale)
-    merged = merge_heads(ctx)
+        merged = _attend_lanes(q, k_, v, *kv, scale)
     attn_out = matmul(merged, layer.attn_wo) + layer.attn_bo
     out = x + attn_out
     if cache is not None:
@@ -276,32 +280,53 @@ def _attend(q, keys, vals, mask, scale):
     return probs, matmul(probs, vals)
 
 
-def _attend_lanes(q, k_, v, keys, vals, lengths, bounds, scale):
-    """Write each lane's new keys/values into the arenas after its
-    ``lengths[b]`` cached ones, then run the attention core once per group
-    of lanes with equal (cached, new) lengths.
+def _attend_lanes(q, k_, v, keys, vals, step, scale):
+    """Write each lane's new keys/values into the arenas at their positions
+    ``step.pos``, then attend every lane over its own prefix in one
+    fixed-split core; returns the packed context with heads merged (1, R, d).
 
-    Within a group every lane has the same shapes and causal mask, and the
-    stacked ``matmul`` computes each lane's matrices on their own, so
-    grouping changes no bits. A group reads only its lanes' written spans,
-    so the arena's unwritten tail never reaches the core."""
-    h, dh = q.shape[1], q.shape[3]
-    edges = bounds.tolist()
-    groups: dict[tuple[int, int], list[int]] = {}
-    for lane, past in enumerate(lengths.tolist()):
-        lo, hi = edges[lane], edges[lane + 1]
-        keys[lane, :, past : past + hi - lo] = k_[0, :, lo:hi]
-        vals[lane, :, past : past + hi - lo] = v[0, :, lo:hi]
-        groups.setdefault((past, hi - lo), []).append(lane)
-    ctx = np.empty_like(q)
-    for (past, n), lanes in groups.items():
-        span = past + n
-        rows = (bounds[lanes][:, None] + np.arange(n)).ravel()
-        qg = q[0][:, rows].reshape(h, len(lanes), n, dh).transpose(1, 0, 2, 3)
-        mask = np.arange(span)[None, :] > np.arange(past, span)[:, None]
-        _, ctx_g = _attend(qg, keys[lanes, :, :span], vals[lanes, :, :span], mask, scale)
-        ctx[0][:, rows] = ctx_g.transpose(1, 0, 2, 3).reshape(h, len(lanes) * n, dh)
-    return ctx
+    New queries are zero-padded per lane to the step's largest new count,
+    and the arenas are read as blocks of ``KEY_BLOCK`` positions, as far as
+    the longest lane reaches. Scores are one ``matmul`` over (lanes, H,
+    blocks), set to ``-inf`` past each query's position; their max over all
+    blocks is exact. Each block's denominator sums exactly ``KEY_BLOCK``
+    exponentials, ``e @ V`` is one more ``matmul``, and the block partials
+    are added in ascending block order into accumulators that start at
+    ``+0.0``, then divided once.
+
+    A lane's bits thus do not depend on padding, alone or packed, in any
+    arena, under either ``matmul`` kernel: both gemms have fixed (K, N), so
+    each row's bits are fixed whatever rows share the call, and a block past
+    the lane's written span (zero exponentials, zero values) adds exact
+    ``+0.0``. The ``+0.0`` start matters: ``-0.0 + 0.0`` is ``+0.0``, so an
+    accumulator seeded with a ``-0.0`` partial would flip sign on a trailing
+    block, while one that starts at ``+0.0`` never holds ``-0.0``.
+    """
+    lanes, h, slots, dh = keys.shape
+    if slots % KEY_BLOCK:
+        raise ShapeError(f"arena of {slots} slots is not a multiple of {KEY_BLOCK}")
+    keys[step.lane, :, step.pos] = k_[0].transpose(1, 0, 2)
+    vals[step.lane, :, step.pos] = v[0].transpose(1, 0, 2)
+    _, _, blocks, n, _ = step.hidden.shape
+    split = (lanes, h, blocks, KEY_BLOCK, dh)
+    kb = keys[:, :, : blocks * KEY_BLOCK].reshape(split)
+    vb = vals[:, :, : blocks * KEY_BLOCK].reshape(split)
+    qp = np.zeros((lanes, h, n, dh), dtype=q.dtype)
+    qp[step.lane, :, step.row] = q[0].transpose(1, 0, 2)
+    e = matmul(qp[:, :, None], kb.swapaxes(-1, -2))  # scores (lanes, H, blocks, n, KEY_BLOCK)
+    e *= scale
+    np.copyto(e, q.dtype.type(-np.inf), where=step.hidden)
+    e -= e.max(axis=(2, 4), keepdims=True)
+    np.exp(e, out=e)
+    den_parts = e.sum(axis=-1, keepdims=True)
+    ctx_parts = matmul(e, vb)
+    den = np.zeros((lanes, h, n, 1), dtype=q.dtype)
+    ctx = np.zeros((lanes, h, n, dh), dtype=q.dtype)
+    for blk in range(blocks):
+        den += den_parts[:, :, blk]
+        ctx += ctx_parts[:, :, blk]
+    ctx /= den
+    return ctx[step.lane, :, step.row].reshape(1, len(step.lane), h * dh)
 
 
 def ffn_forward(
@@ -476,7 +501,7 @@ def _forward(
     form: str,
     lut,
     state: DecodeState | None = None,
-    bounds: np.ndarray | None = None,
+    step: PackedStep | None = None,
     cache: dict | None = None,
     collect_hidden: list | None = None,
     moe_sel: list | None = None,
@@ -485,8 +510,8 @@ def _forward(
     ``ids`` (B, T) at absolute ``positions`` (T,).
 
     Without ``state`` every sequence attends causally over its own rows.
-    With a DecodeState ``ids`` is one (1, R) block of packed lanes split by
-    ``bounds``, and each layer's attention writes into its arenas (see
+    With a DecodeState ``ids`` is one (1, R) block of packed lanes laid out
+    by ``step``, and each layer's attention writes into its arenas (see
     ``attention_forward``). mole LUT rows are prefetched for every id at
     layer entry and awaited inside the expert sub-layer.
     """
@@ -508,8 +533,8 @@ def _forward(
         lv = params.layer(i)
         lc: dict | None = {} if cache is not None else None
         ticket = lut.prefetch(i, flat) if mole_lut else None
-        x = attention_forward(lv, x, positions, cache=lc, bounds=bounds,
-                              kv=None if state is None else (state.k[i], state.v[i], state.lengths))
+        x = attention_forward(lv, x, positions, cache=lc,
+                              kv=None if state is None else (state.k[i], state.v[i], step))
         if lc is not None:
             lc["x_mid"] = x
         if cfg.variant == "dense":
@@ -543,21 +568,53 @@ def _forward(
 @dataclass
 class DecodeState:
     """The KV arenas of one packed decode (single owner): per layer, every
-    lane's keys ``k[i]`` and values ``v[i]`` (lanes, H, capacity, d_head),
-    zero where nothing was written; ``lengths[b]`` is lane b's cached
-    length, the position of its next token."""
+    lane's keys ``k[i]`` and values ``v[i]`` (lanes, H, slots, d_head),
+    ``slots`` being ``capacity`` rounded up to whole ``KEY_BLOCK``s;
+    ``lengths[b]`` is lane b's cached length, the position of its next
+    token, and may not pass ``capacity``. The arenas are zero where nothing
+    was written, so a block past a lane's span adds exact ``+0.0`` in the
+    attention core (``_attend_lanes``)."""
 
     k: list[np.ndarray]
     v: list[np.ndarray]
     lengths: np.ndarray
+    capacity: int
 
 
 def init_decode_state(params: ModelParams, lanes: int, capacity: int) -> DecodeState:
     cfg = params.cfg
-    shape = (lanes, cfg.n_heads, capacity, cfg.d_head)
+    slots = -(-capacity // KEY_BLOCK) * KEY_BLOCK
+    shape = (lanes, cfg.n_heads, slots, cfg.d_head)
     return DecodeState(k=[np.zeros(shape, dtype=params.dtype) for _ in range(cfg.L)],
                        v=[np.zeros(shape, dtype=params.dtype) for _ in range(cfg.L)],
-                       lengths=np.zeros(lanes, dtype=np.int64))
+                       lengths=np.zeros(lanes, dtype=np.int64), capacity=capacity)
+
+
+@dataclass(frozen=True)
+class PackedStep:
+    """The layout of one packed forward, shared by every layer's attention
+    core: packed row r is new row ``row[r]`` of lane ``lane[r]``, at position
+    ``pos[r]``, where its key and value go. ``hidden`` (lanes, 1, blocks, n,
+    KEY_BLOCK) is True where a lane's new query j must not see the key at
+    that position of the first ``blocks`` key blocks; n is the step's
+    largest new count."""
+
+    lane: np.ndarray
+    row: np.ndarray
+    pos: np.ndarray
+    hidden: np.ndarray
+
+
+def pack_lanes(lengths: np.ndarray, counts: np.ndarray) -> PackedStep:
+    """The ``PackedStep`` of ``counts[b]`` new rows per lane b, packed lane by
+    lane, after its ``lengths[b]`` cached ones."""
+    lane = np.repeat(np.arange(len(counts)), counts)
+    row = np.arange(lane.size) - (np.cumsum(counts) - counts)[lane]
+    blocks = -(-int((lengths + counts).max()) // KEY_BLOCK)
+    key_pos = np.arange(blocks * KEY_BLOCK).reshape(blocks, 1, KEY_BLOCK)
+    query_pos = lengths[:, None] + np.arange(int(counts.max()))
+    hidden = key_pos[None] > query_pos[:, None, :, None]
+    return PackedStep(lane, row, lengths[lane] + row, hidden[:, None])
 
 
 def forward_tokens(params: ModelParams, ids: list, state: DecodeState,
@@ -581,22 +638,21 @@ def forward_lanes(
 
     The R new rows form one (1, R, d) block, so every row-wise op (norms,
     projections, rotary, router, FFNs, LUT combine, top-k experts, head)
-    runs once over all rows. Only the attention core is per lane group.
-    ``matmul`` fixes each row's reduction whatever the row count and no lane
-    is padded, so each lane gets the bits it gets alone. The layer loop is
-    ``model_forward``'s. ``moe_sel`` (a list) receives each moe layer's
-    top-k selection (R, k), in layer order.
+    runs once over all rows, and the attention core once over all lanes.
+    ``matmul`` fixes each row's reduction whatever the row count, and the
+    core's padding adds exact zeros, so each lane gets the bits it gets
+    alone. The layer loop is ``model_forward``'s. ``moe_sel`` (a list)
+    receives each moe layer's top-k selection (R, k), in layer order.
     """
     ids = [np.ravel(np.asarray(t)) for t in ids]
     if len(ids) != len(state.lengths):
         raise ShapeError(f"{len(ids)} lanes of tokens for a state of {len(state.lengths)} lanes")
     lens = np.array([t.size for t in ids], dtype=np.int64)
-    if np.any(state.lengths + lens > state.k[0].shape[2]):
+    if np.any(state.lengths + lens > state.capacity):
         raise ShapeError("decode state capacity exceeded")
-    bounds = np.concatenate(([0], np.cumsum(lens)))
-    positions = np.repeat(state.lengths - bounds[:-1], lens) + np.arange(bounds[-1])
-    logits = _forward(params, np.concatenate(ids)[None, :], positions, form, lut,
-                      state=state, bounds=bounds, moe_sel=moe_sel)
+    step = pack_lanes(state.lengths, lens)
+    logits = _forward(params, np.concatenate(ids)[None, :], step.pos, form, lut,
+                      state=state, step=step, moe_sel=moe_sel)
     state.lengths += lens
     return logits[0]
 

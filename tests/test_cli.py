@@ -119,6 +119,15 @@ class TestPipeline:
             streams.append(capsys.readouterr().out)
         assert streams[0] == streams[1] and "lane 1:" in streams[0]
 
+    @pytest.mark.parametrize("prompt, bad", [("1,61", "'61'"), ("2,-3", "'-3'"),
+                                             ("1,x", "'x'")])
+    def test_infer_bad_prompt_token_exit_2_names_flag(self, trained, capsys, prompt, bad):
+        # toy vocab is 61: ids 61 and -3 are out of range, x is no integer
+        assert run(["infer", "--checkpoint", trained, "--prompt", "4,5",
+                    "--prompt", prompt, "--steps", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "--prompt" in err and f"token {bad}" in err and "[0, 61)" in err
+
     def test_corrupted_lut_verify_fails_exit_1(self, trained, tmp_path, capsys):
         lut = tmp_path / "model.lut"
         run(["reparam", "--checkpoint", trained, "--out", lut])

@@ -248,8 +248,12 @@ def recorded_decode(params, prompts, steps, runtime, lut=None, seed=0):
 
 RUNTIMES = [("dense", None), ("moe", None), ("moe-offload", None), ("mole-train", None),
             ("mole-lut", ("fp32", 0)), ("mole-lut", ("nf4", 8))]
-# prompt lengths: distinct, all shared (one attention group), and mixed
-LANE_LENGTHS = [(5, 1, 3, 8), (4, 4, 4), (2, 6, 2, 6, 1)]
+# prompt lengths: distinct, all equal, mixed, and spans crossing two key-block
+# edges (up to 30 + 4 steps = 34 keys, three blocks of model.KEY_BLOCK)
+LANE_LENGTHS = [(5, 1, 3, 8), (4, 4, 4), (2, 6, 2, 6, 1), (3, 17, 30, 16, 1)]
+CROSS_BLOCK = LANE_LENGTHS[3]
+# covers every position the cases reach, so no lane decodes past max_seq
+PACKED_MAX_SEQ = 36
 
 
 class TestPackedLanes:
@@ -257,12 +261,13 @@ class TestPackedLanes:
 
     def _setup(self, runtime, lut_dtype, tmp_path):
         if runtime == "dense":
-            return tiny_dense(), None
+            return tiny_dense(max_seq=PACKED_MAX_SEQ), None
         if runtime.startswith("moe"):
-            return tiny_moe(), None
+            return tiny_moe(max_seq=PACKED_MAX_SEQ), None
         if runtime == "mole-train":
-            return tiny_mole(), None
-        p, infer, path = mole_lut_setup(tmp_path, dtype=lut_dtype[0], block=lut_dtype[1])
+            return tiny_mole(max_seq=PACKED_MAX_SEQ), None
+        p, infer, path = mole_lut_setup(tmp_path, dtype=lut_dtype[0], block=lut_dtype[1],
+                                        max_seq=PACKED_MAX_SEQ)
         return infer, path
 
     def _check(self, tmp_path, runtime, lut_dtype, lengths, steps=4):
@@ -333,4 +338,13 @@ class TestPackedLanes:
         monkeypatch.setattr(kernels, "_rows_invariant", lambda dtype: False)
         monkeypatch.setattr(kernels, "_backends", {})
         self._check(tmp_path, runtime, lut_dtype, LANE_LENGTHS[2])
+        assert kernels.backend(np.float32) == kernels.SEQUENTIAL
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("runtime, lut_dtype", RUNTIMES)
+    def test_cross_block_under_sequential_fallback(self, monkeypatch, tmp_path, runtime,
+                                                   lut_dtype):
+        monkeypatch.setattr(kernels, "_rows_invariant", lambda dtype: False)
+        monkeypatch.setattr(kernels, "_backends", {})
+        self._check(tmp_path, runtime, lut_dtype, CROSS_BLOCK)
         assert kernels.backend(np.float32) == kernels.SEQUENTIAL

@@ -176,6 +176,21 @@ class TestMatmul:
         assert matmul_sequential(a, b).shape == want
 
 
+class TestProbe:
+    def test_probes_the_decode_attention_gemm_shape(self, monkeypatch):
+        # the decode core's gemms are (d_head, KEY_BLOCK) and (KEY_BLOCK, d_head):
+        # (16, 16) at the toy configs' d_head
+        probed = []
+
+        def spy(a, b, lead):
+            probed.append(b.shape)
+            return matmul_sequential(a, b)  # row-invariant, so every shape is visited
+
+        monkeypatch.setattr(kernels, "_matmul_tiled", spy)
+        assert kernels._rows_invariant(np.dtype(np.float32))
+        assert (mole.model.KEY_BLOCK, mole.model.KEY_BLOCK) in probed
+
+
 class TestSequentialFallback:
     """A BLAS that fails the row-invariance probe gets the sequential kernel."""
 

@@ -5,19 +5,23 @@ import pytest
 
 from conftest import tiny_dense, tiny_moe, tiny_mole
 
+from mole import kernels, model
 from mole.kernels import ShapeError, rmsnorm, softmax
 from mole.model import (
+    KEY_BLOCK,
     RMS_EPS,
     attention_forward,
     combine_expert_rows,
     embed,
     ffn_forward,
     forward_lanes,
+    greedy_pick,
     init_decode_state,
     model_forward,
     moe_layer_forward,
     mole_expert_rows,
     mole_layer_forward,
+    pack_lanes,
     route,
     topk_select,
 )
@@ -83,11 +87,11 @@ class TestAttention:
         t = 7
         x = rng.standard_normal((1, t, p.cfg.d)).astype(np.float32)
         full = attention_forward(p.layer(0), x, np.arange(t))
-        keys = np.zeros((1, p.cfg.n_heads, t, p.cfg.d_head), np.float32)
-        vals = np.zeros_like(keys)
+        state = init_decode_state(p, 1, t)
         rows = [
             attention_forward(p.layer(0), x[:, i : i + 1], np.array([i]),
-                              kv=(keys, vals, np.array([i])), bounds=np.array([0, 1]))
+                              kv=(state.k[0], state.v[0],
+                                  pack_lanes(np.array([i]), np.array([1]))))
             for i in range(t)
         ]
         stepped = np.concatenate(rows, axis=1)
@@ -361,6 +365,57 @@ class TestModelForward:
         with pytest.raises(ShapeError, match="capacity"):
             forward_lanes(p, [[5, 6], [7]], state)  # lane 0 would need 5 rows
         assert state.lengths.tolist() == [3, 1]  # a rejected step moves nothing
+
+    @pytest.mark.parametrize("kernel", [kernels.TILED, kernels.SEQUENTIAL])
+    def test_lane_in_larger_arena_matches_lone_run(self, monkeypatch, kernel):
+        """A short lane decoded between longer lanes, in an arena of three key
+        blocks, gets the bits of its lone run in a one-block arena."""
+        monkeypatch.setattr(kernels, "_backends", {np.dtype(np.float32): kernel})
+        p = tiny_mole(max_seq=48)
+        rng = np.random.default_rng(7)
+        prompts = [rng.integers(0, p.cfg.vocab, size=n) for n in (20, 3, 37)]
+        lone, packed = init_decode_state(p, 1, 8), init_decode_state(p, 3, 44)
+        assert (lone.k[0].shape[2], packed.k[0].shape[2]) == (KEY_BLOCK, 3 * KEY_BLOCK)
+        lone_ids, packed_ids = [prompts[1]], prompts
+        for i in range(4):
+            alone = forward_lanes(p, lone_ids, lone)
+            together = forward_lanes(p, packed_ids, packed)
+            ends = np.cumsum([len(t) for t in packed_ids])
+            assert together[ends[0]:ends[1]].tobytes() == alone.tobytes()
+            if i == 0:  # the multi-block core against the full-sequence one
+                full = model_forward(p, prompts[2])[0]
+                assert np.max(np.abs(together[ends[1]:] - full)) < 1e-6
+            lone_ids = [[greedy_pick(alone[-1])]]
+            packed_ids = [[greedy_pick(together[e - 1])] for e in ends]
+            assert packed_ids[1] == lone_ids[0]
+        n = int(lone.lengths[0])
+        for big, small in zip(packed.k + packed.v, lone.k + lone.v):
+            assert big[1, :, :n].tobytes() == small[0, :, :n].tobytes()
+            assert not big[1, :, n:].any()
+
+    @pytest.mark.parametrize("lengths, counts", [([0], [1]), ([4], [9]),
+                                                 ([3, 0, 17, 30], [1, 5, 1, 2])])
+    def test_decode_core_is_two_matmul_calls(self, monkeypatch, lengths, counts):
+        calls = []
+        real = model.matmul
+        monkeypatch.setattr(model, "matmul", lambda a, b: calls.append(1) or real(a, b))
+        rng = np.random.default_rng(3)
+        h, dh, rows = 4, 8, sum(counts)
+        q, k, v = (rng.standard_normal((1, h, rows, dh)).astype(np.float32) for _ in range(3))
+        keys = np.zeros((len(lengths), h, 3 * KEY_BLOCK, dh), np.float32)
+        vals = np.zeros_like(keys)
+        step = pack_lanes(np.array(lengths), np.array(counts))
+        ctx = model._attend_lanes(q, k, v, keys, vals, step, np.float32(dh ** -0.5))
+        assert ctx.shape == (1, rows, h * dh) and np.isfinite(ctx).all()
+        assert len(calls) == 2
+
+    def test_attention_arena_must_hold_whole_key_blocks(self):
+        p = tiny_dense()
+        keys = np.zeros((1, p.cfg.n_heads, 7, p.cfg.d_head), np.float32)
+        x = np.zeros((1, 1, p.cfg.d), np.float32)
+        with pytest.raises(ShapeError, match="multiple of 16"):
+            attention_forward(p.layer(0), x, np.array([0]),
+                              kv=(keys, keys.copy(), pack_lanes(np.array([0]), np.array([1]))))
 
     def test_mole_lut_form_requires_handle(self):
         p = tiny_mole()
