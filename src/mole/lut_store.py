@@ -23,11 +23,23 @@ The normal-float codebooks are the 2^bits quantiles of the standard normal,
 symmetrized to include 0 and +-1, frozen below as literal constants (pinned
 by tests and implied by the file version). Rows are fetched lazily, when
 ``await_rows`` redeems the ticket ``prefetch`` handed out (``RowSource``).
+
+A reader maps the payload read-only and copies each fetch's records out of
+the map in one indexed read, so only the pages a fetch touches are read in
+and the payload never loads wholesale. Every requested record is charged to
+the reader's byte counter, a repeated id again. ``write_lut`` replaces a
+file atomically (a new file renamed over the path), so an open reader keeps
+the old bytes; truncating a file in place while a reader has it open is
+unsupported and kills the process with SIGBUS on the next read of a lost
+page.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import os
+import secrets
 import struct
 import threading
 from collections.abc import Callable
@@ -166,31 +178,59 @@ def _quantize_blocks(values: np.ndarray, dtype: str, block_size: int
     scale_f32 = scales.astype(np.float32)
     safe = np.where(scale_f32 > 0.0, scale_f32, 1.0)
     normalized = blocks / safe[..., None]
-    codes = np.abs(normalized[..., None] - cb).argmin(axis=-1).astype(np.uint8)
+    # Nearest entry, lower index on ties (argmin's choice): only the two
+    # entries that bracket a value can be nearest, so compare those alone.
+    hi = np.zeros(normalized.shape, np.uint8)  # entries below, the last excluded
+    for entry in cb[:-1]:
+        hi += normalized > entry
+    lo = np.maximum(hi, 1) - 1
+    take_lo = np.abs(normalized - np.take(cb, lo)) <= np.abs(normalized - np.take(cb, hi))
+    codes = np.where(take_lo, lo, hi)
     zero_code = int(np.argmin(np.abs(cb)))
     codes = np.where(scale_f32[..., None] > 0.0, codes, np.uint8(zero_code))
     return scales, codes
 
 
 def _dequantize_blocks(scales: np.ndarray, codes: np.ndarray, dtype: str) -> np.ndarray:
-    cb = CODEBOOKS[dtype]
-    return (cb[codes] * scales.astype(np.float32)[..., None]).reshape(
-        codes.shape[:-2] + (-1,))
+    values = np.take(CODEBOOKS[dtype], codes)
+    values *= scales.astype(np.float32)[..., None]
+    return values.reshape(codes.shape[:-2] + (-1,))
+
+
+def _code_groups(bits: int) -> tuple[int, int]:
+    """(codes, bytes) of the smallest run of whole bytes holding whole
+    ``bits``-bit codes: (8, 3) for nf3, (2, 1) for nf4."""
+    codes = 8 // math.gcd(bits, 8)
+    return codes, bits * codes // 8
 
 
 def _pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Bit-pack (..., block_size) uint8 codes LSB-first into bytes."""
-    bit_planes = ((codes[..., None] >> np.arange(bits, dtype=np.uint8)) & 1).astype(np.uint8)
-    flat_bits = bit_planes.reshape(codes.shape[:-1] + (-1,))
-    return np.packbits(flat_bits, axis=-1, bitorder="little")
+    """Bit-pack (..., block_size) uint8 codes LSB-first into bytes: each
+    group of codes becomes one little-endian integer, stored byte by byte."""
+    per_group, width = _code_groups(bits)
+    groups = codes.reshape(codes.shape[:-1] + (-1, per_group))
+    word = np.zeros(groups.shape[:-1], np.uint32)
+    for j in range(per_group):
+        word |= groups[..., j].astype(np.uint32) << np.uint32(bits * j)
+    packed = np.empty(word.shape + (width,), np.uint8)
+    for k in range(width):
+        packed[..., k] = word >> np.uint32(8 * k)  # the store keeps the low byte
+    return packed.reshape(codes.shape[:-1] + (-1,))
 
 
 def _unpack_codes(packed: np.ndarray, bits: int, block_size: int) -> np.ndarray:
-    flat_bits = np.unpackbits(packed, axis=-1, bitorder="little",
-                              count=block_size * bits)
-    planes = flat_bits.reshape(flat_bits.shape[:-1] + (block_size, bits))
-    weights = (1 << np.arange(bits)).astype(np.uint8)
-    return (planes * weights).sum(axis=-1).astype(np.uint8)
+    """Inverse of ``_pack_codes``: (..., bits * block_size / 8) bytes ->
+    (..., block_size) uint8 codes, each group's integer read little-endian
+    and its codes shifted out LSB-first."""
+    per_group, width = _code_groups(bits)
+    groups = packed.reshape(packed.shape[:-1] + (-1, width))
+    word = groups[..., 0].astype(np.uint32)
+    for k in range(1, width):
+        word |= groups[..., k].astype(np.uint32) << np.uint32(8 * k)
+    codes = np.empty(word.shape + (per_group,), np.uint8)
+    for j in range(per_group):  # one pass per code slot, over every group
+        codes[..., j] = (word >> np.uint32(bits * j)) & np.uint32((1 << bits) - 1)
+    return codes.reshape(packed.shape[:-1] + (block_size,))
 
 
 def compression_ratio(bits: int, block_size: int) -> float:
@@ -237,11 +277,21 @@ def write_lut(tables: list[LutTable], path: str | Path, dtype: str = "fp32",
         if t.values.shape != (vocab, n_experts, d):
             raise ValueError("tables disagree on (vocab, N, d)")
     _block_layout(dtype, block_size, d)
-    with open(path, "wb") as f:
-        f.write(_pack_header(len(tables), vocab, n_experts, d, dtype, block_size))
-        for t in tables:
-            f.write(_encode_rows(t.values.reshape(vocab * n_experts, d),
-                                 dtype, block_size))
+    # Written beside the target and renamed over it, so the path always holds
+    # a whole file: a failed write leaves the old one, and handles already
+    # open keep mapping the old one's bytes.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(_pack_header(len(tables), vocab, n_experts, d, dtype, block_size))
+            for t in tables:
+                f.write(_encode_rows(t.values.reshape(vocab * n_experts, d),
+                                     dtype, block_size))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return os.path.getsize(path)
 
 
@@ -296,54 +346,57 @@ class RowSource:
 
 
 class LutHandle(RowSource):
-    """Random-access reader over an open LUT file.
-
-    Rows are read (and dequantized if needed) on demand; the payload never
-    loads wholesale. ``bytes_read`` counts exactly the payload bytes pulled,
-    whether through gather or through prefetch tickets.
+    """Random-access reader over a LUT file whose payload it maps read-only
+    (see the module docstring). ``bytes_read`` counts exactly the payload
+    bytes copied out, whether through gather or through prefetch tickets.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        size = self.path.stat().st_size
         with open(self.path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
             head = f.read(HEADER_SIZE)
-        if len(head) < HEADER_SIZE or head[:8] != MAGIC:
-            raise BadMagicError(f"{path}: not a LUT file")
-        magic, version, n_layers, vocab, n_experts, d, code, block_size = (
-            struct.unpack_from(_HEADER_FMT, head))
-        if version != VERSION:
-            raise LutVersionError(f"{path}: unsupported LUT version {version}")
-        offset = next((i for i in range(_HEADER_USED, HEADER_SIZE) if head[i]), None)
-        if offset is not None:
-            raise ReservedBytesError(f"{path}: reserved header byte {offset} is "
-                                     f"{head[offset]}, must be 0")
-        if code not in CODE_DTYPES:
-            raise DimensionError(f"{path}: unknown dtype code {code}")
-        dtype = CODE_DTYPES[code]
-        if min(n_layers, vocab, n_experts, d) <= 0:
-            raise DimensionError(f"{path}: zero extent in header")
-        try:
-            row_bytes = _block_layout(dtype, block_size, d)
-        except ValueError as exc:
-            raise DimensionError(f"{path}: {exc}")
-        payload = n_layers * vocab * n_experts * row_bytes
-        if payload > _MAX_PAYLOAD:
-            raise DimensionError(f"{path}: payload of {payload} bytes overflows sanity bounds")
-        if size != HEADER_SIZE + payload:
-            raise PayloadLengthError(
-                f"{path}: payload length mismatch (header implies "
-                f"{HEADER_SIZE + payload} bytes, file has {size})")
+            if len(head) < HEADER_SIZE or head[:8] != MAGIC:
+                raise BadMagicError(f"{path}: not a LUT file")
+            magic, version, n_layers, vocab, n_experts, d, code, block_size = (
+                struct.unpack_from(_HEADER_FMT, head))
+            if version != VERSION:
+                raise LutVersionError(f"{path}: unsupported LUT version {version}")
+            offset = next((i for i in range(_HEADER_USED, HEADER_SIZE) if head[i]), None)
+            if offset is not None:
+                raise ReservedBytesError(f"{path}: reserved header byte {offset} is "
+                                         f"{head[offset]}, must be 0")
+            if code not in CODE_DTYPES:
+                raise DimensionError(f"{path}: unknown dtype code {code}")
+            dtype = CODE_DTYPES[code]
+            if min(n_layers, vocab, n_experts, d) <= 0:
+                raise DimensionError(f"{path}: zero extent in header")
+            try:
+                row_bytes = _block_layout(dtype, block_size, d)
+            except ValueError as exc:
+                raise DimensionError(f"{path}: {exc}")
+            payload = n_layers * vocab * n_experts * row_bytes
+            if payload > _MAX_PAYLOAD:
+                raise DimensionError(f"{path}: payload of {payload} bytes overflows sanity bounds")
+            if size != HEADER_SIZE + payload:
+                raise PayloadLengthError(
+                    f"{path}: payload length mismatch (header implies "
+                    f"{HEADER_SIZE + payload} bytes, file has {size})")
+            self._map = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_READ)
         self.header = LutFileHeader(n_layers, vocab, n_experts, d, dtype, block_size)
-        self._row_bytes = row_bytes
-        self._record_bytes = n_experts * row_bytes  # one token's rows
-        self._layer_bytes = vocab * self._record_bytes
-        self._file = open(self.path, "rb")
-        self._lock = threading.Lock()  # a handle may be shared across caller threads
+        # one record is one token's N rows
+        self._records = np.frombuffer(self._map, np.uint8, payload, HEADER_SIZE).reshape(
+            n_layers, vocab, n_experts * row_bytes)
+        # Callers may share a handle: the lock guards the counter and keeps
+        # close() from unmapping the payload while a copy reads it.
+        self._lock = threading.Lock()
         self.bytes_read = 0
 
     def close(self) -> None:
-        self._file.close()
+        """Unmap the payload; later reads raise ValueError. Idempotent."""
+        with self._lock:
+            self._records = None
+            self._map.close()
 
     def __enter__(self):
         return self
@@ -364,33 +417,32 @@ class LutHandle(RowSource):
         block_bytes = 2 + bits * h.block_size // 8
         blob = buf.reshape(shape[:2] + (n_blocks, block_bytes))
         scales = blob[..., :2].copy().view("<f2")[..., 0]
-        codes = _unpack_codes(np.ascontiguousarray(blob[..., 2:]), bits, h.block_size)
+        codes = _unpack_codes(blob[..., 2:], bits, h.block_size)
         return _dequantize_blocks(scales, codes, h.dtype)
 
     def gather(self, layer: int, ids: np.ndarray) -> np.ndarray:
         """Rows for the requested token ids: (len(ids), N, d) float32.
 
-        Each requested id is one read into a shared buffer, decoded in one
-        pass; repeated ids are re-read and re-counted, so the transfer meter
-        moves by exactly the payload bytes read."""
+        The ids' records are copied out of the mapped payload in one indexed
+        read and decoded in one pass, so the rows are owned arrays that
+        outlive ``close``. Repeated ids are copied and charged again: the
+        transfer meter moves by exactly ``len(ids)`` records. The file must
+        not be truncated in place while the handle is open (SIGBUS)."""
         h = self.header
-        ids = np.atleast_1d(np.asarray(ids))
+        ids = np.asarray(ids).ravel()
+        if not ids.size:
+            ids = ids.astype(np.intp)  # an empty list reads as float
         if not (0 <= layer < h.n_layers):
             raise IndexError(f"layer {layer} out of range [0, {h.n_layers})")
         if ids.size and (ids.min() < 0 or ids.max() >= h.vocab):
             raise IndexError(f"token id out of range [0, {h.vocab})")
-        size = self._record_bytes
-        buf = np.empty((ids.size, size), dtype=np.uint8)
-        base = HEADER_SIZE + layer * self._layer_bytes
         with self._lock:
-            for n, i in enumerate(ids.ravel().tolist()):
-                self._file.seek(base + i * size)
-                got = self._file.readinto(buf[n])
-                self.bytes_read += got
-                if got != size:
-                    raise PayloadLengthError(f"{self.path}: short read at token {i} "
-                                             f"of layer {layer} ({got} of {size} bytes)")
+            if self._records is None:
+                raise ValueError(f"{self.path}: LUT handle is closed")
+            buf = self._records[layer, ids]
+            self.bytes_read += buf.nbytes
         return self._decode_records(buf)
+
 
 def open_lut(path: str | Path) -> LutHandle:
     return LutHandle(path)

@@ -648,6 +648,8 @@ def forward_lanes(
     if len(ids) != len(state.lengths):
         raise ShapeError(f"{len(ids)} lanes of tokens for a state of {len(state.lengths)} lanes")
     lens = np.array([t.size for t in ids], dtype=np.int64)
+    if not lens.all():
+        raise ShapeError(f"lane {int(np.argmin(lens))} has no new tokens")
     if np.any(state.lengths + lens > state.capacity):
         raise ShapeError("decode state capacity exceeded")
     step = pack_lanes(state.lengths, lens)

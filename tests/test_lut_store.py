@@ -1,4 +1,7 @@
 import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import tiny_mole
 
+from mole import lut_store
 from mole.lut_store import (
     CODEBOOKS,
     HEADER_SIZE,
@@ -135,6 +139,43 @@ class TestQuantizeRow:
         with pytest.raises(FloatingPointError):
             _quantize_blocks(row, "nf4", 16)
 
+    @staticmethod
+    def argmin_codes(values, dtype, block):
+        """Nearest codebook entry by exhaustive |x - entry| argmin (lower index
+        on ties), with the zero code for blocks whose stored scale is zero."""
+        cb = CODEBOOKS[dtype]
+        blocks = values.reshape(values.shape[:-1] + (-1, block)).astype(np.float32)
+        scale = np.abs(blocks).max(axis=-1).astype(np.float16).astype(np.float32)
+        normalized = blocks / np.where(scale > 0, scale, 1.0)[..., None]
+        codes = np.abs(normalized[..., None] - cb).argmin(axis=-1).astype(np.uint8)
+        return np.where(scale[..., None] > 0, codes, np.uint8(np.argmin(np.abs(cb))))
+
+    @pytest.mark.parametrize("dtype", ["nf4", "nf3"])
+    def test_codes_equal_argmin_reference(self, dtype):
+        cb = CODEBOOKS[dtype]
+        rng = np.random.default_rng(11)
+        random = rng.standard_normal((64, 32)).astype(np.float32)
+        random *= rng.choice([1e-3, 1.0, 50.0], (64, 1)).astype(np.float32)
+        # every midpoint between neighbouring entries, exactly and one ulp
+        # either side, each block led by 1.0 so the stored scale is exactly 1
+        mid = ((cb[:-1] + cb[1:]) / 2).astype(np.float32)
+        probes = np.concatenate([mid, np.nextafter(mid, np.float32(-2)),
+                                 np.nextafter(mid, np.float32(2)), cb, -mid])
+        probes = np.pad(probes, (0, -probes.size % 7))
+        exact = np.concatenate([np.ones((probes.size // 7, 1), np.float32),
+                                probes.reshape(-1, 7)], axis=1)
+        # a zero scale, a scale that underflows half precision to zero, and a
+        # subnormal half scale
+        tiny = np.array([np.zeros(8), np.full(8, 1e-9), np.linspace(-3e-6, 6e-6, 8)],
+                        np.float32)
+        for values in (random, exact, tiny):
+            _, codes = _quantize_blocks(values, dtype, 8)
+            assert codes.dtype == np.uint8
+            assert np.array_equal(codes, self.argmin_codes(values, dtype, 8))
+        _, codes = _quantize_blocks(tiny, dtype, 8)
+        assert np.all(codes[:2] == np.argmin(np.abs(cb)))
+        assert len(set(codes[2].ravel().tolist())) > 1  # subnormal scale still codes
+
 
 class TestCompressionRatio:
     def test_nf4_768(self):
@@ -259,6 +300,36 @@ class TestFileFormat:
         with pytest.raises(ValueError):
             write_lut(make_tables(), tmp_path / "b.lut", dtype="fp32", block_size=8)
 
+    def test_failed_rewrite_leaves_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.lut"
+        write_lut(make_tables(seed=1), path, dtype="nf4", block_size=8)
+        before = path.read_bytes()
+        encode, calls = lut_store._encode_rows, []
+
+        def fail_second_layer(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return encode(*args)
+
+        monkeypatch.setattr(lut_store, "_encode_rows", fail_second_layer)
+        with pytest.raises(OSError, match="disk full"):
+            write_lut(make_tables(seed=2), path, dtype="nf4", block_size=8)
+        assert len(calls) == 2  # the header and a layer were written first
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["a.lut"]
+
+    def test_open_handle_survives_rewrite(self, tmp_path):
+        path = tmp_path / "a.lut"
+        old, new = make_tables(seed=1), make_tables(seed=2, vocab=5)
+        write_lut(old, path, dtype="fp32")
+        with open_lut(path) as h:
+            write_lut(new, path, dtype="fp32")
+            for layer, table in enumerate(old):
+                assert h.gather(layer, np.arange(11)).tobytes() == table.values.tobytes()
+        with open_lut(path) as h:
+            assert h.gather(1, np.arange(5)).tobytes() == new[1].values.tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_mutated_header_raises_only_format_errors(self, fuzz_lut, data):
@@ -355,6 +426,72 @@ class TestGatherAndTickets:
         with pytest.raises(IndexError):
             h.gather(0, np.array([999]))
         h.close()
+
+    def test_closed_handle_raises_value_error_naming_path(self, tmp_path):
+        _, h = self._handle(tmp_path)
+        ticket = h.prefetch(0, np.array([1]))
+        h.close()
+        with pytest.raises(ValueError, match=f"{h.path}: LUT handle is closed"):
+            h.gather(0, np.array([1]))
+        with pytest.raises(ValueError, match=f"{h.path}: LUT handle is closed"):
+            h.await_rows(ticket)
+        with pytest.raises(ValueError, match="closed"):
+            h.await_rows(h.prefetch(1, np.array([2])))
+
+    def test_threads_share_counter_and_close(self, tmp_path):
+        """Reader threads racing a close get their rows or ValueError, never
+        BufferError, and every row returned is charged exactly once."""
+        tables, h = self._handle(tmp_path)
+        served, errors = [0] * 6, []
+
+        def read(worker):
+            ids = np.array([worker % 11, 4, worker % 11])
+            try:
+                for _ in range(400):
+                    rows = h.gather(worker % 2, ids)
+                    assert rows.tobytes() == tables[worker % 2].values[ids].tobytes()
+                    served[worker] += ids.size
+            except ValueError:
+                pass
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=read, args=(w,)) for w in range(6)]
+            for w in workers:
+                w.start()
+            while sum(served) < 600 and any(w.is_alive() for w in workers):
+                time.sleep(1e-4)
+            h.close()
+            for w in workers:
+                w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert h.bytes_read == sum(served) * 3 * 16 * 4
+
+    def test_close_is_idempotent(self, tmp_path):
+        _, h = self._handle(tmp_path)
+        with h:
+            h.gather(0, np.array([1]))
+        h.close()
+        h.close()
+        assert h.bytes_read == 3 * 16 * 4
+
+    @pytest.mark.parametrize("dtype, block", [("fp32", 0), ("fp16", 0), ("nf4", 8), ("nf3", 8)])
+    def test_rows_are_owned_copies(self, tmp_path, dtype, block):
+        _, h = self._handle(tmp_path, dtype, block)
+        kept = [h.gather(layer, np.array([i, 4, i])) for layer in (0, 1) for i in range(11)]
+        kept.append(h.await_rows(h.prefetch(1, np.array([3]))))
+        want = [r.copy() for r in kept]
+        h.close()  # no row is a view into the map, so unmapping succeeds
+        for got, ref in zip(kept, want):
+            assert got.flags.owndata or got.base.flags.owndata
+            assert got.flags.writeable
+            assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("dtype, block", [("fp32", 0), ("fp16", 0), ("nf4", 8), ("nf3", 8)])
     def test_gather_equals_per_row_reference(self, tmp_path, dtype, block):

@@ -366,6 +366,14 @@ class TestModelForward:
             forward_lanes(p, [[5, 6], [7]], state)  # lane 0 would need 5 rows
         assert state.lengths.tolist() == [3, 1]  # a rejected step moves nothing
 
+    def test_forward_lanes_rejects_lane_without_tokens(self):
+        p = tiny_dense()
+        state = init_decode_state(p, 3, 4)
+        for ids, lane in (([[], [4], [5]], 0), ([[1], [2], np.array([], np.int64)], 2)):
+            with pytest.raises(ShapeError, match=f"lane {lane} has no new tokens"):
+                forward_lanes(p, ids, state)
+        assert state.lengths.tolist() == [0, 0, 0]
+
     @pytest.mark.parametrize("kernel", [kernels.TILED, kernels.SEQUENTIAL])
     def test_lane_in_larger_arena_matches_lone_run(self, monkeypatch, kernel):
         """A short lane decoded between longer lanes, in an arena of three key
