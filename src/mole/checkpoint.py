@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .config import VARIANTS, ConfigError, ModelConfig
 from .model import ModelParams, param_names, param_shape
 
@@ -47,7 +48,9 @@ class CheckpointError(IOError):
 
 
 def write_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
+    """Write ``tensors`` as one checkpoint file, atomically: a write that
+    fails part-way leaves the old file at ``path`` unchanged."""
+    with atomic_write(path) as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, len(tensors)))
         for name, t in tensors.items():

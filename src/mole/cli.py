@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analyst, checkpoint, engine, kernels, lut_store, reparam, trainer
+from .atomic import atomic_write
 from .config import (
     PAPER_CONFIGS,
     ConfigError,
@@ -92,7 +93,8 @@ def write_manifest(path: Path, command: str, config: dict, seed: int | None,
         "inputs": {k: sha256_file(v) for k, v in inputs.items()},
         "outputs": {k: sha256_file(v) for k, v in outputs.items()},
     }
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    with atomic_write(path, "w") as f:
+        f.write(json.dumps(manifest, indent=2) + "\n")
 
 
 def build_corpus(ccfg: CorpusConfig, vocab: int) -> np.ndarray:
@@ -252,7 +254,7 @@ def cmd_infer(args) -> int:
 
 
 def _write_meter_csv(path: str | Path, meter: engine.StepMeter) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["step", "lanes", "elements", "bytes", "experts_loaded", "sim_seconds"])
         for r in meter.records:

@@ -161,10 +161,16 @@ RUNTIME_VARIANTS = {"dense": "dense", "moe": "moe", "moe-offload": "moe",
                     "mole-train": "mole", "mole-lut": "mole"}
 
 
-@dataclass
+@dataclass(slots=True)
 class DecodeResult:
-    tokens: list[list[int]]  # generated ids per lane
+    ids: np.ndarray  # (lanes, steps) int32: generated ids, one row per lane
     meter: StepMeter
+
+    @property
+    def tokens(self) -> list[list[int]]:
+        """Generated ids per lane, as lists of ints (built on each access:
+        a kept result holds only the compact ``ids``)."""
+        return self.ids.tolist()
 
 
 def _expert_elements(cfg: ModelConfig) -> int:
@@ -225,10 +231,9 @@ def greedy_decode(
     meter.add(-1, lanes, sum(lens) * lut_row_elements if mole_lut else 0, 0,
               nbytes=lut.bytes_read - before if mole_lut else 0)
 
-    tokens: list[list[int]] = [[] for _ in range(lanes)]
+    ids = np.empty((lanes, steps), dtype=np.int32)
     for step in range(steps):
-        for lane, tok in enumerate(current):
-            tokens[lane].append(tok)
+        ids[:, step] = current
         before = lut.bytes_read if mole_lut else 0
         sel: list[np.ndarray] | None = [] if runtime == "moe-offload" else None
         logits = forward_lanes(params, [[tok] for tok in current], state,
@@ -245,7 +250,7 @@ def greedy_decode(
         else:
             meter.add(step, lanes, 0, 0)
         current = [greedy_pick(row) for row in logits]
-    return DecodeResult(tokens=tokens, meter=meter)
+    return DecodeResult(ids=ids, meter=meter)
 
 
 # ---------------------------------------------------------------------------

@@ -230,36 +230,17 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return (cdf + x * phi).astype(x.dtype)
 
 
-def rotary_angles(
-    positions: np.ndarray, rot_dims: int, dtype: np.dtype
+def rotary_tables(
+    positions: np.ndarray, d_head: int, rotary_fraction: float, dtype: np.dtype
 ) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin tables for the rotated span.
+    """cos/sin tables for ``apply_rotary``: the first ``rotary_fraction *
+    d_head`` dimensions of every head rotate, in pairs.
 
-    ``positions`` has shape (T,); output shape (T, rot_dims // 2) with pair i
-    at frequency ROTARY_BASE ** (-2 i / rot_dims).
+    ``positions`` has shape (T,); both tables have shape (T, span // 2),
+    pair i at frequency ROTARY_BASE ** (-2 i / span). A forward builds them
+    once for its positions and rotates every layer's queries and keys with
+    them; backprop rotates back with ``(cos, -sin)``.
     """
-    half = rot_dims // 2
-    exponents = -2.0 * np.arange(half, dtype=np.float64) / float(rot_dims)
-    freqs = ROTARY_BASE**exponents
-    theta = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
-    return np.cos(theta).astype(dtype), np.sin(theta).astype(dtype)
-
-
-def apply_rotary(
-    x: np.ndarray,
-    positions: np.ndarray,
-    rotary_fraction: float,
-    inverse: bool = False,
-) -> np.ndarray:
-    """Rotate the leading span of each head with geometric frequencies.
-
-    ``x`` has shape (..., T, n_heads, d_head); the first
-    ``rotary_fraction * d_head`` dimensions of every head are rotated in
-    half-split pairs (i, i + span/2), the rest pass through unchanged.
-    ``inverse=True`` applies the transpose rotation (used by backprop).
-    """
-    _check_float(x, "x")
-    d_head = x.shape[-1]
     span_f = rotary_fraction * d_head
     span = int(round(span_f))
     if abs(span - span_f) > 1e-9 or span <= 0 or span % 2 != 0:
@@ -267,10 +248,24 @@ def apply_rotary(
             f"rotary span {span_f} (fraction {rotary_fraction} of d_head {d_head}) "
             "must be a positive even integer"
         )
-    cos, sin = rotary_angles(positions, span, x.dtype)
-    if inverse:
-        sin = -sin
     half = span // 2
+    exponents = -2.0 * np.arange(half, dtype=np.float64) / float(span)
+    freqs = ROTARY_BASE**exponents
+    theta = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
+    return np.cos(theta).astype(dtype), np.sin(theta).astype(dtype)
+
+
+def apply_rotary(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate the leading span of each head with geometric frequencies.
+
+    ``x`` has shape (..., T, n_heads, d_head) and ``cos``/``sin`` (T, span //
+    2) come from ``rotary_tables``: dimensions i and i + span/2 of every head
+    rotate as a pair, the rest pass through unchanged. ``(cos, -sin)``
+    applies the transpose rotation (used by backprop).
+    """
+    _check_float(x, "x")
+    half = cos.shape[-1]
+    span = 2 * half
     x1 = x[..., :, :, :half]
     x2 = x[..., :, :, half:span]
     c = cos[..., :, None, :]

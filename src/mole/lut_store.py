@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import mmap
 import os
-import secrets
 import struct
 import threading
 from collections.abc import Callable
@@ -47,6 +46,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .atomic import atomic_write
 
 MAGIC = b"MOLELUT1"
 VERSION = 1
@@ -277,21 +278,13 @@ def write_lut(tables: list[LutTable], path: str | Path, dtype: str = "fp32",
         if t.values.shape != (vocab, n_experts, d):
             raise ValueError("tables disagree on (vocab, N, d)")
     _block_layout(dtype, block_size, d)
-    # Written beside the target and renamed over it, so the path always holds
-    # a whole file: a failed write leaves the old one, and handles already
-    # open keep mapping the old one's bytes.
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
-    try:
-        with open(tmp, "xb") as f:
-            f.write(_pack_header(len(tables), vocab, n_experts, d, dtype, block_size))
-            for t in tables:
-                f.write(_encode_rows(t.values.reshape(vocab * n_experts, d),
-                                     dtype, block_size))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    # atomic: a failed write leaves the old file, and handles already open
+    # keep mapping the old file's bytes
+    with atomic_write(path) as f:
+        f.write(_pack_header(len(tables), vocab, n_experts, d, dtype, block_size))
+        for t in tables:
+            f.write(_encode_rows(t.values.reshape(vocab * n_experts, d),
+                                 dtype, block_size))
     return os.path.getsize(path)
 
 

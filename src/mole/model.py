@@ -16,7 +16,8 @@ full-sequence forward (training, verification) and the packed-lane forward
 (prefill, decode); they differ only in how attention sees its keys: its own
 sequence, or a ``DecodeState`` whose per-layer KV arenas hold every lane.
 The mole training form and LUT form differ only in where the expert rows
-come from: expert FFNs on embedding rows, or a row source
+come from: expert FFNs on the embedding rows of the batch's distinct token
+ids, gathered per position, or a row source
 (``prefetch``/``await_rows``) reading pre-computed tables. Both combine the
 rows in one sub-layer, so given identical rows they agree bit-for-bit.
 
@@ -33,7 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ModelConfig
-from .kernels import ShapeError, apply_rotary, gelu, matmul, rmsnorm, softmax
+from .kernels import (
+    TILE_ROWS,
+    ShapeError,
+    apply_rotary,
+    gelu,
+    matmul,
+    rmsnorm,
+    rotary_tables,
+    softmax,
+)
 
 RMS_EPS = 1e-5
 INIT_STD = 0.02
@@ -222,12 +232,15 @@ def attention_forward(
     layer: LayerView,
     x: np.ndarray,
     positions: np.ndarray,
+    rotary: tuple[np.ndarray, np.ndarray],
     kv: tuple[np.ndarray, np.ndarray, PackedStep] | None = None,
     cache: dict | None = None,
 ) -> np.ndarray:
     """Residual attention sub-layer: x + Attn(input_norm(x)).
 
-    ``positions`` are the absolute positions of the rows of ``x``. Without
+    ``positions`` are the absolute positions of the rows of ``x``, and
+    ``rotary`` their (cos, sin) tables (``rotary_tables``), which a model
+    forward builds once for all its layers. Without
     ``kv``, each sequence of ``x`` (B, T, d) attends causally over its own
     rows and ``cache`` receives what backprop needs. With ``kv``, ``x``
     (1, R, d) packs the new rows of several lanes, and ``kv`` is the layer's
@@ -248,8 +261,8 @@ def attention_forward(
     k_ = split_heads(k_, cfg.n_heads)
     v = split_heads(v, cfg.n_heads)
     # rotary expects (..., T, H, dh)
-    q = apply_rotary(q.transpose(0, 2, 1, 3), positions, cfg.rotary_fraction).transpose(0, 2, 1, 3)
-    k_ = apply_rotary(k_.transpose(0, 2, 1, 3), positions, cfg.rotary_fraction).transpose(0, 2, 1, 3)
+    q = apply_rotary(q.transpose(0, 2, 1, 3), *rotary).transpose(0, 2, 1, 3)
+    k_ = apply_rotary(k_.transpose(0, 2, 1, 3), *rotary).transpose(0, 2, 1, 3)
 
     scale = x.dtype.type(1.0 / np.sqrt(cfg.d_head))
     if kv is None:
@@ -267,7 +280,7 @@ def attention_forward(
     out = x + attn_out
     if cache is not None:
         cache.update(x_in=x, xn=xn, q=q, keys=k_, vals=v,
-                     probs=probs, merged=merged, positions=positions)
+                     probs=probs, merged=merged, rotary=rotary)
     return out
 
 
@@ -427,7 +440,8 @@ def mole_layer_forward(
     ``rows`` (N, ..., d) are the routed-expert outputs for the current
     tokens, or a no-argument callable returning them that runs after the
     shared expert. The training form passes one running the expert FFNs on
-    the embedding rows (``mole_expert_rows``); the LUT form one redeeming
+    the embedding rows of the distinct ids (``mole_expert_rows``) and
+    gathering them per position; the LUT form one redeeming
     the ticket ``prefetch`` issued at layer entry, so the table rows are read
     inside ``await_rows``, after the router and the shared expert. Both
     forms combine here, so equal rows give equal bits.
@@ -481,9 +495,9 @@ def model_forward(
     causally over its own tokens.
 
     ``form`` selects the mole expert path: "train_form" runs the expert FFNs
-    on embedding rows; "lut_form" fetches pre-computed rows from ``lut``
-    (a row source: prefetch(layer, ids) and await_rows(ticket)). Dense and
-    moe ignore ``form``. ``cache`` (a dict) receives what backprop needs;
+    on the embedding rows of the distinct ids; "lut_form" fetches
+    pre-computed rows from ``lut`` (a row source: prefetch(layer, ids) and
+    await_rows(ticket)). Dense and moe ignore ``form``. ``cache`` (a dict) receives what backprop needs;
     ``collect_hidden`` (a list) receives the post-block hidden states, used
     by equivalence localization.
     """
@@ -524,16 +538,29 @@ def _forward(
     if cfg.variant == "mole" and not mole_lut and params.inference_form:
         raise ValueError("train_form forward needs the routed expert tensors")
     x = embed(params, ids)
-    e_rows = x  # raw embedding rows, the input of every layer's mole experts
     flat = ids.reshape(-1)
     row_shape = (cfg.N,) + ids.shape + (cfg.d,)
+    rotary = rotary_tables(positions, cfg.d_head, cfg.rotary_fraction, params.dtype)
     if cache is not None:
-        cache.update(ids=ids, x0=x, layers=[])
+        cache.update(ids=ids, layers=[])
+    if cfg.variant == "mole" and not mole_lut:
+        # A routed expert's output depends only on the token id: the expert
+        # FFNs run once per distinct id, and each position gathers its rows.
+        uniq, inv = np.unique(flat, return_inverse=True)
+        # Zero rows pad the distinct rows to whole matmul tiles: matmul would
+        # zero-pad a partial tile on every call anyway, and whole tiles keep
+        # a step's allocation sizes the same from step to step. The pad
+        # rows' outputs are never gathered and their gradients are zero.
+        emb = params.tensors["embedding"]
+        e_uniq = np.zeros((-(-uniq.size // TILE_ROWS) * TILE_ROWS, cfg.d), dtype=emb.dtype)
+        np.take(emb, uniq, axis=0, out=e_uniq[: uniq.size])
+        if cache is not None:
+            cache.update(uniq=uniq, inv=inv, e_uniq=e_uniq)
     for i in range(cfg.L):
         lv = params.layer(i)
         lc: dict | None = {} if cache is not None else None
         ticket = lut.prefetch(i, flat) if mole_lut else None
-        x = attention_forward(lv, x, positions, cache=lc,
+        x = attention_forward(lv, x, positions, rotary, cache=lc,
                               kv=None if state is None else (state.k[i], state.v[i], step))
         if lc is not None:
             lc["x_mid"] = x
@@ -548,8 +575,9 @@ def _forward(
             x = mole_layer_forward(lv, x, lambda t=ticket: lut.await_rows(t).transpose(
                 1, 0, 2).reshape(row_shape).astype(params.dtype), cache=lc)
         else:
+            # (N, U padded, d) rows of the distinct ids -> (N, B, T, d)
             x = mole_layer_forward(lv, x, lambda lv=lv, lc=lc: mole_expert_rows(
-                lv, e_rows, cache=lc), cache=lc)
+                lv, e_uniq, cache=lc)[:, inv].reshape(row_shape), cache=lc)
         if cache is not None:
             cache["layers"].append(lc)
         if collect_hidden is not None:

@@ -8,6 +8,16 @@ forward records. mole trains with the language-
 model loss alone; the auxiliary z / load-balance terms exist as hooks for
 the moe variant and reproduce the pure-LM path bit-for-bit when their
 coefficients are zero.
+
+The mole routed experts ran once per distinct token id in the forward, so
+their backward runs once per id too: each expert's upstream gradient for an
+id is the sum of g_j * dx over the id's positions (one ``matmul`` with a
+one-hot (ids, positions) matrix per layer; the zero rows that pad the
+distinct ids to whole matmul tiles get zero gradients). Against a
+per-position backward that changes only where the sums happen: the
+routed-expert, ``expert_norm`` and ``embedding`` gradients differ in
+summation order (a few float32 ulps), and every other gradient, as well as
+every dense and moe gradient, is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .config import ModelConfig, TrainConfig
-from .kernels import gelu_grad, matmul, rmsnorm_backward, softmax, apply_rotary
+from .kernels import apply_rotary, gelu_grad, matmul, rmsnorm_backward, softmax
 from .model import (
     RMS_EPS,
     LayerView,
@@ -127,7 +138,7 @@ def _attention_backward(
     p = f"layers.{layer.index}"
     x_in, xn = lc["x_in"], lc["xn"]
     q, keys, vals, probs, merged = lc["q"], lc["keys"], lc["vals"], lc["probs"], lc["merged"]
-    positions = lc["positions"]
+    cos, sin = lc["rotary"]
     dtype = dx_out.dtype
 
     dmerged = matmul(dx_out, layer.attn_wo.T)
@@ -142,10 +153,8 @@ def _attention_backward(
     dkeys = matmul(dscores.transpose(0, 1, 3, 2), q)
 
     # undo the rotation (orthogonal, so the inverse rotation is the transpose)
-    dq = apply_rotary(dq.transpose(0, 2, 1, 3), positions, cfg.rotary_fraction,
-                      inverse=True).transpose(0, 2, 1, 3)
-    dkeys = apply_rotary(dkeys.transpose(0, 2, 1, 3), positions, cfg.rotary_fraction,
-                         inverse=True).transpose(0, 2, 1, 3)
+    dq = apply_rotary(dq.transpose(0, 2, 1, 3), cos, -sin).transpose(0, 2, 1, 3)
+    dkeys = apply_rotary(dkeys.transpose(0, 2, 1, 3), cos, -sin).transpose(0, 2, 1, 3)
 
     dqkv = np.concatenate(
         [merge_heads(dq), merge_heads(dkeys), merge_heads(dvals)], axis=-1
@@ -227,7 +236,14 @@ def backward(
                                  dxf, RMS_EPS)
     grads["final_norm.gain"] += dgain
 
-    de_rows = np.zeros_like(cache["x0"]) if cfg.variant == "mole" else None
+    if cfg.variant == "mole":
+        # onehot[u, p] = 1 where position p holds the u-th distinct id, so
+        # onehot @ v sums v over each id's positions; the rows past
+        # uniq.size pad e_uniq to whole matmul tiles and stay zero
+        uniq, e_uniq = cache["uniq"], cache["e_uniq"]
+        onehot = np.zeros((e_uniq.shape[0], ids.size), dtype=dtype)
+        onehot[cache["inv"], np.arange(ids.size)] = 1
+        de_uniq = np.zeros_like(e_uniq)
 
     for i in reversed(range(cfg.L)):
         lv = params.layer(i)
@@ -264,17 +280,19 @@ def backward(
         elif cfg.variant == "mole":
             gates, rows = lc["gates"], lc["rows"]
             dgates = np.einsum("bts,nbts->btn", dx, rows).astype(dtype)
+            # expert j's upstream for each distinct id: its positions' g_j * dx
+            gdx = (gates[..., None] * dx[..., None, :]).reshape(ids.size, cfg.N * cfg.d)
+            dup = matmul(onehot, gdx).reshape(e_uniq.shape[0], cfg.N, cfg.d)
             den = np.zeros_like(lc["en"])
             for j in range(cfg.N):
                 ec = lc["experts"][j]
-                den += _ffn_backward(gates[..., j, None] * dx, lc["en"],
-                                     ec["pre"], ec["act"],
+                den += _ffn_backward(dup[:, j], lc["en"], ec["pre"], ec["act"],
                                      lv.expert(j)[0], lv.expert(j)[2],
                                      grads, f"{p}.experts.{j}")
-            de_l, dgain_e = rmsnorm_backward(cache["x0"], lv.norm_gain("expert_norm"),
+            de_l, dgain_e = rmsnorm_backward(e_uniq, lv.norm_gain("expert_norm"),
                                              den, RMS_EPS)
             grads[p + ".expert_norm.gain"] += dgain_e
-            de_rows += de_l
+            de_uniq += de_l
             dlogits_r = _softmax_backward(gates, dgates)
             dhn += _router_scatter_grads(lv, hn, dlogits_r, grads)
 
@@ -284,9 +302,9 @@ def backward(
 
         dx = _attention_backward(lv, lc, dx_mid, grads)
 
-    if de_rows is not None:
-        dx = dx + de_rows
     np.add.at(grads["embedding"], ids.reshape(-1), _flat(dx))
+    if cfg.variant == "mole":
+        grads["embedding"][uniq] += de_uniq[: uniq.size]  # uniq holds each id once
 
     return metrics, grads
 
@@ -450,7 +468,7 @@ def train(
 
 
 def write_trace_csv(path: str | Path, trace: list[TraceRow]) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["step", "lr", "lm_loss", "z_loss", "balance_loss", "total"])
         for r in trace:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import tiny_mole
 
+from mole.atomic import atomic_write
 from mole.checkpoint import (
     MAGIC,
     VERSION,
@@ -45,6 +46,35 @@ def test_model_roundtrip(tmp_path):
     assert set(q.tensors) == set(p.tensors)
     for k in p.tensors:
         assert q.tensors[k].tobytes() == p.tensors[k].tobytes()
+
+
+def test_failed_save_leaves_old_checkpoint(tmp_path):
+    """A save that fails part-way (a tensor late in the order has a dtype
+    the format cannot hold) leaves the old checkpoint byte-identical and no
+    temporary file beside it."""
+    path = tmp_path / "m.ckpt"
+    save_model(path, tiny_mole(seed=1))
+    old = path.read_bytes()
+    bad = tiny_mole(seed=2)
+    bad.tensors["lm_head"] = bad.tensors["lm_head"].astype(np.int32)
+    with pytest.raises(CheckpointError, match="lm_head"):
+        save_model(path, bad)
+    assert path.read_bytes() == old
+    assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def test_atomic_text_write_replaces_only_on_success(tmp_path):
+    """The helper behind the manifests and CSV files: a clean exit replaces
+    the file, a raise inside the block keeps the old text."""
+    path = tmp_path / "m.json"
+    with atomic_write(path, "w") as f:
+        f.write("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path, "w", newline="") as f:
+            f.write("new, half written")
+            raise RuntimeError("interrupted")
+    assert path.read_text() == "old\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["m.json"]
 
 
 def test_header_layout(tmp_path):

@@ -188,6 +188,10 @@ class TestGreedyDecode:
         prompt = rng.integers(0, p.cfg.vocab, size=14)
         res, logits, kv, _ = recorded_decode(p, [prompt], 10, "dense")
         assert len(res.tokens[0]) == 10
+        # a result holds one (lanes, steps) array; tokens are plain ints
+        assert res.ids.shape == (1, 10) and res.ids.dtype == np.int32
+        assert res.tokens == [[int(t) for t in res.ids[0]]]
+        assert all(type(t) is int for t in res.tokens[0])
         assert [n for _, _, n in kv[0]] == [24] * p.cfg.L
         assert all(np.isfinite(np.frombuffer(row, np.float32)).all() for row in logits[0])
         full = model_forward(p, prompt)[0, -1]

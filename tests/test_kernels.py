@@ -26,6 +26,7 @@ from mole.kernels import (
     matmul_sequential,
     rmsnorm,
     rmsnorm_backward,
+    rotary_tables,
     softmax,
 )
 from mole.reparam import InMemoryLut, reparameterize, verify_equivalence
@@ -335,6 +336,12 @@ class TestGelu:
         assert np.max(np.abs(gelu_grad(xs) - fd)) < 1e-8
 
 
+def rotate(x, positions, fraction, inverse=False):
+    """``apply_rotary`` with tables built for ``x``'s head width."""
+    cos, sin = rotary_tables(positions, x.shape[-1], fraction, x.dtype)
+    return apply_rotary(x, cos, -sin if inverse else sin)
+
+
 class TestRotary:
     def _pack(self, vec):
         # (T=1, H=1, d_head)
@@ -343,13 +350,13 @@ class TestRotary:
     def test_position_zero_identity(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 2, 8))
-        out = apply_rotary(x, np.array([0, 0, 0]), 0.5)
+        out = rotate(x, np.array([0, 0, 0]), 0.5)
         assert np.array_equal(out, x)
 
     def test_pair_norm_preserved(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((5, 2, 8))
-        out = apply_rotary(x, np.arange(5), 1.0)
+        out = rotate(x, np.arange(5), 1.0)
         # half-split pairing: pair i is (i, i + span/2)
         for i in range(4):
             before = x[..., i] ** 2 + x[..., i + 4] ** 2
@@ -359,7 +366,7 @@ class TestRotary:
     def test_analytic_two_dims(self):
         pos = 3
         x = self._pack([1.0, 0.0])
-        out = apply_rotary(x, np.array([pos]), 1.0)
+        out = rotate(x, np.array([pos]), 1.0)
         theta = float(pos)  # frequency for pair 0 is base**0 = 1
         assert np.allclose(out.ravel(), [math.cos(theta), math.sin(theta)], atol=1e-12)
 
@@ -367,10 +374,9 @@ class TestRotary:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, 3, 8))
         pos = np.arange(4)
-        back = apply_rotary(apply_rotary(x, pos, 0.5), pos, 0.5, inverse=True)
+        back = rotate(rotate(x, pos, 0.5), pos, 0.5, inverse=True)
         assert np.max(np.abs(back - x)) < 1e-12
 
     def test_odd_span_rejected(self):
-        x = np.zeros((1, 1, 6), dtype=np.float64)
         with pytest.raises(ShapeError):
-            apply_rotary(x, np.array([0]), 0.5)  # span 3
+            rotary_tables(np.array([0]), 6, 0.5, np.float64)  # span 3

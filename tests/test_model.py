@@ -6,7 +6,8 @@ import pytest
 from conftest import tiny_dense, tiny_moe, tiny_mole
 
 from mole import kernels, model
-from mole.kernels import ShapeError, rmsnorm, softmax
+from mole.kernels import ShapeError, matmul, rmsnorm, rotary_tables, softmax
+from mole.lut_store import open_lut, write_lut
 from mole.model import (
     KEY_BLOCK,
     RMS_EPS,
@@ -30,6 +31,12 @@ from mole.model import (
 def mole_train_form(lv, x, e):
     """The training-form mole sub-layer: expert FFNs on the embedding rows."""
     return mole_layer_forward(lv, x, lambda: mole_expert_rows(lv, e))
+
+
+def attend(lv, x, positions, **kw):
+    """``attention_forward`` with the rotary tables of ``positions``."""
+    rotary = rotary_tables(positions, lv.cfg.d_head, lv.cfg.rotary_fraction, x.dtype)
+    return attention_forward(lv, x, positions, rotary, **kw)
 
 
 def gate_map(sel, gates):
@@ -67,17 +74,17 @@ class TestAttention:
         p.tensors["layers.0.attn.bo"][:] = 0.0
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 5, p.cfg.d)).astype(np.float32)
-        out = attention_forward(p.layer(0), x, np.arange(5))
+        out = attend(p.layer(0), x, np.arange(5))
         assert np.array_equal(out, x)
 
     def test_causality(self):
         p = tiny_dense()
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 6, p.cfg.d)).astype(np.float32)
-        base = attention_forward(p.layer(0), x, np.arange(6))
+        base = attend(p.layer(0), x, np.arange(6))
         x2 = x.copy()
         x2[0, 4] += 1.0  # perturb position 4; outputs at <= 3 must not move
-        pert = attention_forward(p.layer(0), x2, np.arange(6))
+        pert = attend(p.layer(0), x2, np.arange(6))
         assert np.array_equal(base[0, :4], pert[0, :4])
         assert not np.array_equal(base[0, 4:], pert[0, 4:])
 
@@ -86,12 +93,11 @@ class TestAttention:
         rng = np.random.default_rng(2)
         t = 7
         x = rng.standard_normal((1, t, p.cfg.d)).astype(np.float32)
-        full = attention_forward(p.layer(0), x, np.arange(t))
+        full = attend(p.layer(0), x, np.arange(t))
         state = init_decode_state(p, 1, t)
         rows = [
-            attention_forward(p.layer(0), x[:, i : i + 1], np.array([i]),
-                              kv=(state.k[0], state.v[0],
-                                  pack_lanes(np.array([i]), np.array([1]))))
+            attend(p.layer(0), x[:, i : i + 1], np.array([i]),
+                   kv=(state.k[0], state.v[0], pack_lanes(np.array([i]), np.array([1]))))
             for i in range(t)
         ]
         stepped = np.concatenate(rows, axis=1)
@@ -422,10 +428,84 @@ class TestModelForward:
         keys = np.zeros((1, p.cfg.n_heads, 7, p.cfg.d_head), np.float32)
         x = np.zeros((1, 1, p.cfg.d), np.float32)
         with pytest.raises(ShapeError, match="multiple of 16"):
-            attention_forward(p.layer(0), x, np.array([0]),
-                              kv=(keys, keys.copy(), pack_lanes(np.array([0]), np.array([1]))))
+            attend(p.layer(0), x, np.array([0]),
+                   kv=(keys, keys.copy(), pack_lanes(np.array([0]), np.array([1]))))
 
     def test_mole_lut_form_requires_handle(self):
         p = tiny_mole()
         with pytest.raises(ValueError):
             model_forward(p, np.array([[1]]), form="lut_form")
+
+
+def per_position_logits(p, ids):
+    """Train-form logits with the expert rows of every position computed from
+    that position's own embedding row (``mole_expert_rows`` on all B*T rows,
+    combined by ``mole_layer_forward`` through ``combine_expert_rows``)."""
+    x = e = embed(p, ids)
+    positions = np.arange(ids.shape[1])
+    for i in range(p.cfg.L):
+        lv = p.layer(i)
+        x = attend(lv, x, positions)
+        x = mole_layer_forward(lv, x, mole_expert_rows(lv, e))
+    xf = rmsnorm(x, p.tensors["final_norm.gain"], RMS_EPS)
+    return matmul(xf, p.tensors["lm_head"])
+
+
+UNIQUE_ID_BATCHES = {
+    # repeats within and across the two sequences: 3 distinct ids in 16
+    "repeats": np.array([[5, 5, 9, 5, 2, 9, 5, 5], [9, 5, 5, 2, 2, 5, 9, 9]]),
+    "distinct": np.array([[17, 3, 60, 0, 41, 8, 29, 52, 11, 36, 24, 7]]),
+    "one_token": np.array([[7]]),
+}
+
+
+class TestUniqueIdExperts:
+    """The train form runs the expert FFNs once per distinct id and gathers
+    the rows per position; the bits must be those of the per-position form."""
+
+    @pytest.mark.parametrize("kernel", [kernels.TILED, kernels.SEQUENTIAL])
+    @pytest.mark.parametrize("batch", list(UNIQUE_ID_BATCHES))
+    def test_logits_match_per_position_reference(self, monkeypatch, kernel, batch):
+        monkeypatch.setattr(kernels, "_backends", {np.dtype(np.float32): kernel})
+        p = tiny_mole()
+        ids = UNIQUE_ID_BATCHES[batch]
+        cache: dict = {}
+        got = model_forward(p, ids, cache=cache)
+        assert got.tobytes() == per_position_logits(p, ids).tobytes()
+        # the experts ran on the distinct ids only, padded with zero rows to
+        # whole matmul tiles
+        uniq = np.unique(ids)
+        rows = -(-uniq.size // kernels.TILE_ROWS) * kernels.TILE_ROWS
+        assert cache["uniq"].tobytes() == uniq.tobytes()
+        assert cache["e_uniq"][: uniq.size].tobytes() == p.tensors["embedding"][uniq].tobytes()
+        assert not cache["e_uniq"][uniq.size :].any()
+        for lc in cache["layers"]:
+            assert lc["en"].shape == (rows, p.cfg.d)
+            assert not lc["en"][uniq.size :].any()
+            assert all(ec["pre"].shape[0] == rows for ec in lc["experts"])
+
+    @pytest.mark.parametrize("kernel", [kernels.TILED, kernels.SEQUENTIAL])
+    def test_fp32_lut_form_bit_equal_on_repeated_ids(self, monkeypatch, tmp_path, kernel):
+        from mole.reparam import reparameterize
+
+        monkeypatch.setattr(kernels, "_backends", {np.dtype(np.float32): kernel})
+        p = tiny_mole()
+        ids = UNIQUE_ID_BATCHES["repeats"]
+        infer, tables = reparameterize(p)
+        write_lut(tables, tmp_path / "t.lut", dtype="fp32")
+        with open_lut(tmp_path / "t.lut") as lut:
+            lut_logits = model_forward(infer, ids, form="lut_form", lut=lut)
+        assert lut_logits.tobytes() == model_forward(p, ids).tobytes()
+
+
+class TestRotaryTablesOncePerForward:
+    def test_one_table_build_per_forward(self, monkeypatch):
+        calls = []
+        real = model.rotary_tables
+        monkeypatch.setattr(model, "rotary_tables",
+                            lambda *a: calls.append(1) or real(*a))
+        p = tiny_mole(L=3)
+        model_forward(p, np.array([[1, 2, 3], [4, 5, 6]]))
+        assert len(calls) == 1
+        forward_lanes(p, [[1, 2], [3]], init_decode_state(p, 2, 4))
+        assert len(calls) == 2

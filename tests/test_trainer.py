@@ -243,6 +243,20 @@ class TestGradientCheckSmall:
         worst = max(report.values())
         assert worst < 1e-4, report
 
+    def test_mole_ids_repeated_within_and_across_sequences(self):
+        """The expert, expert-norm and embedding gradients sum each distinct
+        id's positions before the expert backward; a batch of two sequences
+        sharing ids exercises that sum."""
+        cfg = toy_config("mole", L=2, d=8, n_heads=2, D_s=6, D_r=4, N=2,
+                         vocab=7, max_seq=6, rotary_fraction=0.5)
+        p = init_params(cfg, seed=3)
+        ids = np.array([[3, 1, 3, 3, 5, 1], [1, 3, 6, 6, 3, 0]])
+        targets = (2 * ids + 1) % 7
+        assert np.unique(ids).size < ids.size
+        report = gradient_check(p, (ids, targets), TrainConfig())
+        worst = max(report.values())
+        assert worst < 1e-4, report
+
 
 class TestTrainLoop:
     def test_zero_lr_leaves_params_and_loss_constant(self):
