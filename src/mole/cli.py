@@ -179,6 +179,9 @@ def _random_prompts(cfg: ModelConfig, count: int, seed: int, max_len: int) -> li
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--prompts", args.prompts), ("--max-len", args.max_len)):
+        if value <= 0:
+            raise ConfigError(flag, f"must be positive, got {value}")
     params = checkpoint.load_model(args.checkpoint)
     if params.cfg.variant != "mole":
         print("error: verification compares the two mole forms; checkpoint "

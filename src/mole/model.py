@@ -12,8 +12,8 @@ Variants:
 
 Block layout is sequential (attention sub-layer, then expert sub-layer), with
 RMS pre-norms and residual connections around each. One layer loop serves the
-full-sequence forward (training, verification) and the packed-lane forward
-(prefill, decode); they differ only in how attention sees its keys: its own
+full-sequence forward (training) and the packed-lane forward (prefill,
+decode, verification); they differ only in how attention sees its keys: its own
 sequence, or a ``DecodeState`` whose per-layer KV arenas hold every lane.
 The mole training form and LUT form differ only in where the expert rows
 come from: expert FFNs on the embedding rows of the batch's distinct token
@@ -489,7 +489,6 @@ def model_forward(
     form: str = "train_form",
     lut=None,
     cache: dict | None = None,
-    collect_hidden: list | None = None,
 ) -> np.ndarray:
     """logits (B, T, vocab) for a batch of full sequences, each attending
     causally over its own tokens.
@@ -497,15 +496,13 @@ def model_forward(
     ``form`` selects the mole expert path: "train_form" runs the expert FFNs
     on the embedding rows of the distinct ids; "lut_form" fetches
     pre-computed rows from ``lut`` (a row source: prefetch(layer, ids) and
-    await_rows(ticket)). Dense and moe ignore ``form``. ``cache`` (a dict) receives what backprop needs;
-    ``collect_hidden`` (a list) receives the post-block hidden states, used
-    by equivalence localization.
+    await_rows(ticket)). Dense and moe ignore ``form``. ``cache`` (a dict)
+    receives what backprop needs.
     """
     ids = np.atleast_2d(np.asarray(ids))
     if ids.shape[1] > params.cfg.max_seq:
         raise ShapeError(f"sequence length {ids.shape[1]} exceeds max_seq {params.cfg.max_seq}")
-    return _forward(params, ids, np.arange(ids.shape[1]), form, lut,
-                    cache=cache, collect_hidden=collect_hidden)
+    return _forward(params, ids, np.arange(ids.shape[1]), form, lut, cache=cache)
 
 
 def _forward(
@@ -646,10 +643,12 @@ def pack_lanes(lengths: np.ndarray, counts: np.ndarray) -> PackedStep:
 
 
 def forward_tokens(params: ModelParams, ids: list, state: DecodeState,
-                   form: str = "train_form", lut=None) -> np.ndarray:
+                   form: str = "train_form", lut=None,
+                   collect_hidden: list | None = None) -> np.ndarray:
     """Prefill: run every lane's prompt ``ids[b]`` through ``forward_lanes``
     into a fresh ``state``; returns logits (R, vocab), lane by lane."""
-    return forward_lanes(params, ids, state, form=form, lut=lut)
+    return forward_lanes(params, ids, state, form=form, lut=lut,
+                         collect_hidden=collect_hidden)
 
 
 def forward_lanes(
@@ -659,6 +658,7 @@ def forward_lanes(
     form: str = "train_form",
     lut=None,
     moe_sel: list | None = None,
+    collect_hidden: list | None = None,
 ) -> np.ndarray:
     """One packed forward over the new tokens ``ids[b]`` of each lane b, at
     positions ``state.lengths[b]`` onward and appended to its arena rows;
@@ -670,7 +670,9 @@ def forward_lanes(
     ``matmul`` fixes each row's reduction whatever the row count, and the
     core's padding adds exact zeros, so each lane gets the bits it gets
     alone. The layer loop is ``model_forward``'s. ``moe_sel`` (a list)
-    receives each moe layer's top-k selection (R, k), in layer order.
+    receives each moe layer's top-k selection (R, k), in layer order, and
+    ``collect_hidden`` (a list) each block's output (1, R, d), which
+    equivalence localization compares.
     """
     ids = [np.ravel(np.asarray(t)) for t in ids]
     if len(ids) != len(state.lengths):
@@ -682,7 +684,8 @@ def forward_lanes(
         raise ShapeError("decode state capacity exceeded")
     step = pack_lanes(state.lengths, lens)
     logits = _forward(params, np.concatenate(ids)[None, :], step.pos, form, lut,
-                      state=state, step=step, moe_sel=moe_sel)
+                      state=state, step=step, collect_hidden=collect_hidden,
+                      moe_sel=moe_sel)
     state.lengths += lens
     return logits[0]
 

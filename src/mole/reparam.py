@@ -9,6 +9,13 @@ row's reduction by (K, N, dtype), however many rows share the call, so on a
 given machine and BLAS a chunked build is bit-identical to re-computing any
 single row on its own. Table size depends only on (vocab, N, d) — never on
 the routed experts' hidden width.
+
+Verification checks the forward that decoding serves: each form prefills a
+group of prompts in one packed forward (``model.forward_tokens``), and each
+prompt's logits are sliced out and compared. The attention core's padding
+adds exact zeros and ``matmul`` fixes each row's reduction, so a prompt's
+logits are byte-identical to its prefill alone, and its verdict does not
+depend on which prompts share its group.
 """
 
 from __future__ import annotations
@@ -17,8 +24,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import ShapeError
 from .lut_store import LutTable, RowSource
-from .model import ModelParams, mole_expert_rows, model_forward, param_names
+from .model import (
+    KEY_BLOCK,
+    ModelParams,
+    forward_tokens,
+    init_decode_state,
+    mole_expert_rows,
+    param_names,
+)
+
+# Elements (2**20, 4 MiB of fp32) that one packed verify prefill may hold in
+# the attention core's score tensor (lanes x H x longest x slots) or in its
+# logits (rows x vocab); prompts are grouped to stay within it. The
+# prefill's other activations take several times as much again.
+VERIFY_GROUP_ELEMENTS = 1 << 20
 
 
 class InMemoryLut(RowSource):
@@ -135,33 +156,80 @@ def verify_equivalence(
 ) -> VerifyReport:
     """Compare training-form and LUT-form logits on every prompt.
 
+    This checks the forward that ``greedy_decode`` serves. Consecutive
+    prompts are grouped within ``VERIFY_GROUP_ELEMENTS``, and each form
+    prefills a group in one ``forward_tokens`` call over a fresh
+    ``DecodeState`` (the train form on ``params``, the LUT form on
+    ``inference_params`` and ``lut``); each prompt's rows of the logits are
+    then compared. A prompt's logits are those of its prefill alone, so the
+    grouping moves no verdict; a prompt that alone exceeds the budget runs
+    alone. Prompts must be non-empty and at most ``cfg.max_seq`` long.
+
     On failure the first layer whose hidden states diverge beyond the
-    tolerance is identified (for the worst prompt).
+    tolerance is identified (for the worst prompt, prefilled alone).
     """
-    checks: list[PromptCheck] = []
-    worst = -1.0
-    worst_idx = -1
+    if not prompts:
+        raise ValueError("verification needs at least one prompt")
+    prompts = [np.ravel(np.asarray(p)) for p in prompts]
+    max_seq = params.cfg.max_seq
     for idx, prompt in enumerate(prompts):
-        ref = model_forward(params, prompt, form="train_form")
-        got = model_forward(inference_params, prompt, form="lut_form", lut=lut)
-        err = logit_discrepancy(ref, got)
-        ok = err <= tolerance
-        checks.append(PromptCheck(idx, len(np.ravel(prompt)), err, ok))
-        if err > worst:
-            worst, worst_idx = err, idx
+        if not 0 < prompt.size <= max_seq:
+            raise ShapeError(f"prompt {idx} has {prompt.size} tokens; verify needs "
+                             f"1 to max_seq={max_seq}")
+    checks: list[PromptCheck] = []
+    for group in _prompt_groups(params.cfg, [p.size for p in prompts]):
+        lanes = [prompts[i] for i in group]
+        ref, got = _prefill_both(params, inference_params, lut, lanes)
+        bounds = np.cumsum([0] + [p.size for p in lanes])
+        for i, start, stop in zip(group, bounds[:-1], bounds[1:]):
+            err = logit_discrepancy(ref[start:stop], got[start:stop])
+            checks.append(PromptCheck(i, prompts[i].size, err, err <= tolerance))
+    worst = max(checks, key=lambda c: c.rel_err)
     passed = all(c.passed for c in checks)
     first_bad = None
     if not passed:
         first_bad = _locate_divergence(params, inference_params, lut,
-                                       prompts[worst_idx], tolerance)
-    return VerifyReport(passed, tolerance, worst, worst_idx, first_bad, checks)
+                                       prompts[worst.prompt_index], tolerance)
+    return VerifyReport(passed, tolerance, worst.rel_err, worst.prompt_index, first_bad,
+                        checks)
+
+
+def _prompt_groups(cfg, lengths: list[int]) -> list[range]:
+    """Consecutive prompt index ranges whose packed prefill holds at most
+    ``VERIFY_GROUP_ELEMENTS`` score or logit elements (a lone prompt always
+    forms a group)."""
+    def elements(lanes, longest, rows):
+        slots = -(-longest // KEY_BLOCK) * KEY_BLOCK
+        return max(lanes * cfg.n_heads * longest * slots, rows * cfg.vocab)
+
+    groups: list[range] = []
+    start = longest = rows = 0
+    for i, n in enumerate(lengths):
+        grown = elements(i - start + 1, max(longest, n), rows + n)
+        if i > start and grown > VERIFY_GROUP_ELEMENTS:
+            groups.append(range(start, i))
+            start, longest, rows = i, 0, 0
+        longest, rows = max(longest, n), rows + n
+    groups.append(range(start, len(lengths)))
+    return groups
+
+
+def _prefill_both(params, inference_params, lut, lanes, ref_hidden=None, got_hidden=None):
+    """Packed prefill logits (R, vocab) of ``lanes`` in the train form and
+    in the LUT form, each over a fresh ``DecodeState``."""
+    longest = max(p.size for p in lanes)
+    ref = forward_tokens(params, lanes, init_decode_state(params, len(lanes), longest),
+                         form="train_form", collect_hidden=ref_hidden)
+    got = forward_tokens(inference_params, lanes,
+                         init_decode_state(inference_params, len(lanes), longest),
+                         form="lut_form", lut=lut, collect_hidden=got_hidden)
+    return ref, got
 
 
 def _locate_divergence(params, inference_params, lut, prompt, tolerance) -> int | None:
     ref_h: list = []
     got_h: list = []
-    model_forward(params, prompt, form="train_form", collect_hidden=ref_h)
-    model_forward(inference_params, prompt, form="lut_form", lut=lut, collect_hidden=got_h)
+    _prefill_both(params, inference_params, lut, [prompt], ref_h, got_h)
     for i, (a, b) in enumerate(zip(ref_h, got_h)):
         if logit_discrepancy(a, b) > tolerance:
             return i

@@ -138,6 +138,18 @@ class TestPipeline:
                     "--prompts", "10"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--prompts", "--max-len"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_verify_nonpositive_count_exit_2_names_flag(self, trained, tmp_path, capsys,
+                                                        flag, value):
+        lut = tmp_path / "model.lut"
+        run(["reparam", "--checkpoint", trained, "--out", lut])
+        capsys.readouterr()
+        assert run(["verify", "--checkpoint", trained, "--lut", lut, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert f"config field '{flag}': must be positive, got {value}" in captured.err
+        assert "PASS" not in captured.out
+
     def test_truncated_lut_is_io_error(self, trained, tmp_path, capsys):
         lut = tmp_path / "model.lut"
         run(["reparam", "--checkpoint", trained, "--out", lut])

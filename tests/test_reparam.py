@@ -3,9 +3,11 @@ import pytest
 
 from conftest import tiny_dense, tiny_mole, random_prompts
 
+from mole import kernels, reparam
 from mole.engine import greedy_decode
-from mole.lut_store import TicketError
-from mole.model import model_forward, mole_expert_rows, param_names
+from mole.kernels import ShapeError
+from mole.lut_store import TicketError, open_lut, write_lut
+from mole.model import init_decode_state, model_forward, mole_expert_rows, param_names
 from mole.reparam import (
     InMemoryLut,
     build_layer_lut,
@@ -116,12 +118,63 @@ class TestVerifyEquivalence:
 
     def test_corrupted_row_fails_and_names_layer(self, rng):
         p, infer, lut = self._setup()
-        bad_layer = 1
-        lut.tables[bad_layer].values[5] += 10.0
-        prompts = [np.full(6, 5)]  # make sure id 5 is used
+        bad_layer, bad_id, k = 1, 5, 3
+        lut.tables[bad_layer].values[bad_id] += 10.0
+        # no prompt but prompt k uses the corrupted id
+        prompts = [q + (q >= bad_id) for q in
+                   random_prompts(rng, p.cfg.vocab - 1, 6, p.cfg.max_seq, min_len=2)]
+        prompts[k][1] = bad_id
         report = verify_equivalence(p, infer, lut, prompts, tolerance=1e-5)
         assert not report.passed
+        assert report.worst_prompt == k
         assert report.first_bad_layer == bad_layer
+        assert [c.rel_err == 0.0 for c in report.checks] == [i != k for i in range(6)]
+
+    def test_rejects_no_prompts_and_bad_lengths(self):
+        p, infer, lut = self._setup()
+        with pytest.raises(ValueError, match="at least one prompt"):
+            verify_equivalence(p, infer, lut, [])
+        for bad in (np.array([], dtype=np.int64), np.ones(p.cfg.max_seq + 1, dtype=np.int64)):
+            with pytest.raises(ShapeError, match=f"prompt 1 has {bad.size} tokens"):
+                verify_equivalence(p, infer, lut, [np.array([1, 2]), bad])
+
+    @pytest.mark.parametrize("kernel", [kernels.TILED, kernels.SEQUENTIAL])
+    def test_grouped_verdicts_match_lone_prompts(self, monkeypatch, tmp_path, rng, kernel):
+        monkeypatch.setattr(kernels, "_backends", {np.dtype(np.float32): kernel})
+        monkeypatch.setattr(reparam, "VERIFY_GROUP_ELEMENTS", 3000)  # ~3 prompts a group
+        p, infer, lut = self._setup()
+        write_lut(lut.tables, tmp_path / "nf4.lut", dtype="nf4", block_size=16)
+        prompts = random_prompts(rng, p.cfg.vocab, 12, p.cfg.max_seq)
+        real = reparam.forward_tokens
+        calls = []
+
+        def spy(params, lanes, state, form="train_form", lut=None, collect_hidden=None):
+            out = real(params, lanes, state, form=form, lut=lut, collect_hidden=collect_hidden)
+            calls.append((params, list(lanes), form, lut, out))
+            return out
+
+        monkeypatch.setattr(reparam, "forward_tokens", spy)
+        with open_lut(tmp_path / "nf4.lut") as nf4:
+            report = verify_equivalence(p, infer, nf4, prompts, tolerance=1.0)
+            assert 2 < len(calls) < 2 * len(prompts)  # grouped, in several groups
+            for params, lanes, form, src, out in calls:
+                bounds = np.cumsum([0] + [len(x) for x in lanes])
+                for x, start, stop in zip(lanes, bounds[:-1], bounds[1:]):
+                    alone = real(params, [x], init_decode_state(params, 1, len(x)),
+                                 form=form, lut=src)
+                    assert out[start:stop].tobytes() == alone.tobytes()
+            lone = [verify_equivalence(p, infer, nf4, [x], tolerance=1.0).checks[0].rel_err
+                    for x in prompts]
+            # a prompt over the budget on its own still runs, alone
+            monkeypatch.setattr(reparam, "VERIFY_GROUP_ELEMENTS", 1)
+            del calls[:]
+            tiny = verify_equivalence(p, infer, nf4, prompts, tolerance=1.0)
+            assert len(calls) == 2 * len(prompts)
+        assert report.passed and report.max_rel_err > 0.0
+        assert [c.rel_err for c in report.checks] == lone
+        assert [c.rel_err for c in tiny.checks] == lone
+        assert [c.prompt_index for c in report.checks] == list(range(len(prompts)))
+        assert verify_equivalence(p, infer, lut, prompts, tolerance=0.0).max_rel_err == 0.0
 
     def test_equivalence_across_lengths(self, rng):
         p, infer, lut = self._setup()
