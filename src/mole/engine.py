@@ -17,12 +17,13 @@ Three real runtimes (they run the actual model):
 
 All lanes decode together: prefill is one packed forward over every prompt
 token of every lane, and each step one packed forward over one new token
-per lane (``model.forward_lanes``, which runs the layer loop of
-``model.model_forward`` over one ``DecodeState``: per layer, a key arena and
-a value arena shared by all lanes, plus each lane's length). Row-wise work
-runs once over all rows, and the attention core once over all lanes; its
-gemms have fixed shapes and its padding adds exact zeros. Each lane
-therefore gets the bits it gets decoding alone, and the meter is what the
+per lane (``model.forward_lanes``, which runs the layer loop and attention
+core of training, ``model.model_forward``, over one ``DecodeState``: per
+layer, a key arena and a value arena shared by all lanes, plus each lane's
+length). Row-wise work runs once over all rows, and the attention core once
+over all lanes; its gemms have fixed shapes and its padding adds exact
+zeros. Each lane therefore gets the bits it gets decoding alone, and those
+of the training-form forward over its tokens, and the meter is what the
 lanes would be charged alone.
 
 One link model (``BandwidthModel``) prices every step's transfer time.

@@ -35,8 +35,10 @@ SEQUENTIAL = "sequential"
 
 # (K, N) shapes the probe runs: a model-sized one, ragged edges on both
 # axes, N == 1, which numpy sends to gemv rather than gemm, and the two
-# gemms of the decode attention core at d_head 16 (``model._attend_lanes``),
-# whose padding invariance rests on this row invariance.
+# gemms of the attention core at d_head 16 (``model._attend_lanes``), whose
+# padding invariance rests on this row invariance. That core serves every
+# forward: training and the float64 gradient check as well as prefill,
+# decode and verification.
 _PROBE_SHAPES = ((64, 192), (33, 17), (7, 1), (16, 16))
 
 ROTARY_BASE = 10000.0
@@ -236,10 +238,10 @@ def rotary_tables(
     """cos/sin tables for ``apply_rotary``: the first ``rotary_fraction *
     d_head`` dimensions of every head rotate, in pairs.
 
-    ``positions`` has shape (T,); both tables have shape (T, span // 2),
-    pair i at frequency ROTARY_BASE ** (-2 i / span). A forward builds them
-    once for its positions and rotates every layer's queries and keys with
-    them; backprop rotates back with ``(cos, -sin)``.
+    Both tables have shape ``positions.shape + (span // 2,)``, pair i at
+    frequency ROTARY_BASE ** (-2 i / span). A forward builds them once for
+    its positions and rotates every layer's queries and keys with them;
+    backprop rotates back with ``(cos, -sin)``.
     """
     span_f = rotary_fraction * d_head
     span = int(round(span_f))
@@ -251,17 +253,17 @@ def rotary_tables(
     half = span // 2
     exponents = -2.0 * np.arange(half, dtype=np.float64) / float(span)
     freqs = ROTARY_BASE**exponents
-    theta = np.asarray(positions, dtype=np.float64)[:, None] * freqs[None, :]
+    theta = np.asarray(positions, dtype=np.float64)[..., None] * freqs
     return np.cos(theta).astype(dtype), np.sin(theta).astype(dtype)
 
 
 def apply_rotary(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Rotate the leading span of each head with geometric frequencies.
 
-    ``x`` has shape (..., T, n_heads, d_head) and ``cos``/``sin`` (T, span //
-    2) come from ``rotary_tables``: dimensions i and i + span/2 of every head
-    rotate as a pair, the rest pass through unchanged. ``(cos, -sin)``
-    applies the transpose rotation (used by backprop).
+    ``x`` has shape (..., T, n_heads, d_head) and ``cos``/``sin`` (..., T,
+    span // 2) come from ``rotary_tables``: dimensions i and i + span/2 of
+    every head rotate as a pair, the rest pass through unchanged.
+    ``(cos, -sin)`` applies the transpose rotation (used by backprop).
     """
     _check_float(x, "x")
     half = cos.shape[-1]

@@ -11,15 +11,17 @@ Variants:
             (see reparam / lut_store).
 
 Block layout is sequential (attention sub-layer, then expert sub-layer), with
-RMS pre-norms and residual connections around each. One layer loop serves the
-full-sequence forward (training) and the packed-lane forward (prefill,
-decode, verification); they differ only in how attention sees its keys: its own
-sequence, or a ``DecodeState`` whose per-layer KV arenas hold every lane.
-The mole training form and LUT form differ only in where the expert rows
-come from: expert FFNs on the embedding rows of the batch's distinct token
-ids, gathered per position, or a row source
-(``prefetch``/``await_rows``) reading pre-computed tables. Both combine the
-rows in one sub-layer, so given identical rows they agree bit-for-bit.
+RMS pre-norms and residual connections around each. One layer loop and one
+attention core serve every forward: training (``model_forward``, B lanes of
+T tokens) and prefill, decode and verification (``forward_lanes``, packed
+lanes of any lengths) all run over a ``DecodeState`` whose per-layer KV
+arenas hold every lane, and the core's bits do not depend on padding, so a
+sequence gets the same bits in all of them. The mole training form and LUT
+form differ only in where the expert rows come from: expert FFNs on the
+embedding rows of the batch's distinct token ids, gathered per position, or
+a row source (``prefetch``/``await_rows``) reading pre-computed tables. Both
+combine the rows in one sub-layer, so given identical rows they agree
+bit-for-bit.
 
 Parameters live in a flat name -> ndarray dict (see ``init_params`` for the
 naming scheme); that representation doubles as the checkpoint manifest and as
@@ -47,8 +49,8 @@ from .kernels import (
 
 RMS_EPS = 1e-5
 INIT_STD = 0.02
-# Key positions per block of the decode attention core (``_attend_lanes``);
-# decode arenas hold whole blocks.
+# Key positions per block of the attention core (``_attend_lanes``); KV
+# arenas hold whole blocks.
 KEY_BLOCK = 16
 
 
@@ -231,72 +233,47 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
 def attention_forward(
     layer: LayerView,
     x: np.ndarray,
-    positions: np.ndarray,
     rotary: tuple[np.ndarray, np.ndarray],
-    kv: tuple[np.ndarray, np.ndarray, PackedStep] | None = None,
+    kv: tuple[np.ndarray, np.ndarray, PackedStep],
     cache: dict | None = None,
 ) -> np.ndarray:
     """Residual attention sub-layer: x + Attn(input_norm(x)).
 
-    ``positions`` are the absolute positions of the rows of ``x``, and
-    ``rotary`` their (cos, sin) tables (``rotary_tables``), which a model
-    forward builds once for all its layers. Without
-    ``kv``, each sequence of ``x`` (B, T, d) attends causally over its own
-    rows and ``cache`` receives what backprop needs. With ``kv``, ``x``
-    (1, R, d) packs the new rows of several lanes, and ``kv`` is the layer's
-    key arena, value arena (lanes, H, slots, d_head), ``slots`` a multiple
-    of ``KEY_BLOCK``, and the step's ``PackedStep`` (which lane owns each
-    row, and where it goes). One fixed-split core writes the new keys and
-    values and attends every lane over its own prefix, with bits that do not
-    depend on padding (``_attend_lanes``), so a lane gets the bits it gets
-    alone. The full-sequence form keeps the BLAS core (``_attend``); the two
-    forms agree to rounding, not bit for bit.
+    ``x`` holds the new rows of every lane, lane by lane: (1, R, d) for
+    packed lanes of any lengths, or (B, T, d) for B lanes of T rows each.
+    ``rotary`` is their (cos, sin) tables (``rotary_tables`` of the rows'
+    positions, shaped like ``x`` without its last axis), which a model
+    forward builds once for all its layers. ``kv`` is the layer's key arena,
+    value arena (lanes, H, slots, d_head), ``slots`` a multiple of
+    ``KEY_BLOCK``, and the step's ``PackedStep`` (which lane owns each row,
+    and where it goes). One fixed-split core writes the new keys and values
+    and attends every lane over its own prefix, with bits that do not depend
+    on padding (``_attend_lanes``), so a lane gets the bits it gets alone,
+    in training, prefill, decode and verification alike. ``cache``
+    receives what backprop needs.
     """
     cfg = layer.cfg
     b, t, d = x.shape
+    heads = (b, t, cfg.n_heads, cfg.d_head)
     xn = rmsnorm(x, layer.norm_gain("input_norm"), RMS_EPS)
     qkv = matmul(xn, layer.attn_wqkv) + layer.attn_bqkv
-    q, k_, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
-    q = split_heads(q, cfg.n_heads)
-    k_ = split_heads(k_, cfg.n_heads)
-    v = split_heads(v, cfg.n_heads)
-    # rotary expects (..., T, H, dh)
-    q = apply_rotary(q.transpose(0, 2, 1, 3), *rotary).transpose(0, 2, 1, 3)
-    k_ = apply_rotary(k_.transpose(0, 2, 1, 3), *rotary).transpose(0, 2, 1, 3)
-
+    q = apply_rotary(qkv[..., :d].reshape(heads), *rotary)
+    k_ = apply_rotary(qkv[..., d : 2 * d].reshape(heads), *rotary)
+    v = qkv[..., 2 * d :].reshape(heads)
     scale = x.dtype.type(1.0 / np.sqrt(cfg.d_head))
-    if kv is None:
-        # causal mask: query at position p attends to key positions <= p
-        mask = np.asarray(positions)[None, :] > np.asarray(positions)[:, None]
-        probs, ctx = _attend(q, k_, v, mask, scale)
-        merged = merge_heads(ctx)
-    else:
-        if cache is not None:
-            raise ValueError("attention cache needs the full-sequence form (kv=None)")
-        if b != 1:
-            raise ShapeError(f"packed lanes need x of shape (1, R, d), got {x.shape}")
-        merged = _attend_lanes(q, k_, v, *kv, scale)
+    merged = _attend_lanes(q, k_, v, *kv, scale, cache=cache)
     attn_out = matmul(merged, layer.attn_wo) + layer.attn_bo
     out = x + attn_out
     if cache is not None:
-        cache.update(x_in=x, xn=xn, q=q, keys=k_, vals=v,
-                     probs=probs, merged=merged, rotary=rotary)
+        cache.update(x_in=x, xn=xn, keys=kv[0], vals=kv[1], merged=merged, rotary=rotary)
     return out
 
 
-def _attend(q, keys, vals, mask, scale):
-    """Softmax attention core over the last two axes; ``mask`` (Tq, Tk) is
-    True where a query must not see a key. Returns (probs, context)."""
-    scores = matmul(q, keys.transpose(0, 1, 3, 2)) * scale
-    scores = np.where(mask[None, None], q.dtype.type(-np.inf), scores)
-    probs = softmax(scores)
-    return probs, matmul(probs, vals)
-
-
-def _attend_lanes(q, k_, v, keys, vals, step, scale):
-    """Write each lane's new keys/values into the arenas at their positions
-    ``step.pos``, then attend every lane over its own prefix in one
-    fixed-split core; returns the packed context with heads merged (1, R, d).
+def _attend_lanes(q, k_, v, keys, vals, step, scale, cache=None):
+    """Write each lane's new keys/values (..., H, d_head), lane by lane,
+    into the arenas at their positions ``step.pos``, then attend every lane
+    over its own prefix in one fixed-split core; returns the context with
+    heads merged, in the rows' layout: (1, R, d) or (B, T, d).
 
     New queries are zero-padded per lane to the step's largest new count,
     and the arenas are read as blocks of ``KEY_BLOCK`` positions, as far as
@@ -305,7 +282,9 @@ def _attend_lanes(q, k_, v, keys, vals, step, scale):
     blocks is exact. Each block's denominator sums exactly ``KEY_BLOCK``
     exponentials, ``e @ V`` is one more ``matmul``, and the block partials
     are added in ascending block order into accumulators that start at
-    ``+0.0``, then divided once.
+    ``+0.0``, then divided once. ``cache`` receives the padded queries
+    (lanes, H, n, d_head) and the probabilities (lanes, H, n, blocks *
+    KEY_BLOCK), which backprop reads.
 
     A lane's bits thus do not depend on padding, alone or packed, in any
     arena, under either ``matmul`` kernel: both gemms have fixed (K, N), so
@@ -318,14 +297,14 @@ def _attend_lanes(q, k_, v, keys, vals, step, scale):
     lanes, h, slots, dh = keys.shape
     if slots % KEY_BLOCK:
         raise ShapeError(f"arena of {slots} slots is not a multiple of {KEY_BLOCK}")
-    keys[step.lane, :, step.pos] = k_[0].transpose(1, 0, 2)
-    vals[step.lane, :, step.pos] = v[0].transpose(1, 0, 2)
+    keys[step.lane, :, step.pos] = k_.reshape(-1, h, dh)
+    vals[step.lane, :, step.pos] = v.reshape(-1, h, dh)
     _, _, blocks, n, _ = step.hidden.shape
     split = (lanes, h, blocks, KEY_BLOCK, dh)
     kb = keys[:, :, : blocks * KEY_BLOCK].reshape(split)
     vb = vals[:, :, : blocks * KEY_BLOCK].reshape(split)
     qp = np.zeros((lanes, h, n, dh), dtype=q.dtype)
-    qp[step.lane, :, step.row] = q[0].transpose(1, 0, 2)
+    qp[step.lane, :, step.row] = q.reshape(-1, h, dh)
     e = matmul(qp[:, :, None], kb.swapaxes(-1, -2))  # scores (lanes, H, blocks, n, KEY_BLOCK)
     e *= scale
     np.copyto(e, q.dtype.type(-np.inf), where=step.hidden)
@@ -339,7 +318,10 @@ def _attend_lanes(q, k_, v, keys, vals, step, scale):
         den += den_parts[:, :, blk]
         ctx += ctx_parts[:, :, blk]
     ctx /= den
-    return ctx[step.lane, :, step.row].reshape(1, len(step.lane), h * dh)
+    if cache is not None:
+        probs = (e / den[:, :, None]).transpose(0, 1, 3, 2, 4)
+        cache.update(q=qp, probs=probs.reshape(lanes, h, n, blocks * KEY_BLOCK))
+    return ctx[step.lane, :, step.row].reshape(q.shape[:2] + (h * dh,))
 
 
 def ffn_forward(
@@ -486,45 +468,45 @@ def embed(params: ModelParams, ids: np.ndarray) -> np.ndarray:
 def model_forward(
     params: ModelParams,
     ids: np.ndarray,
-    form: str = "train_form",
-    lut=None,
     cache: dict | None = None,
 ) -> np.ndarray:
-    """logits (B, T, vocab) for a batch of full sequences, each attending
-    causally over its own tokens.
-
-    ``form`` selects the mole expert path: "train_form" runs the expert FFNs
-    on the embedding rows of the distinct ids; "lut_form" fetches
-    pre-computed rows from ``lut`` (a row source: prefetch(layer, ids) and
-    await_rows(ticket)). Dense and moe ignore ``form``. ``cache`` (a dict)
-    receives what backprop needs.
+    """Training-form logits (B, T, vocab) for a batch of sequences ``ids``
+    (B, T), each attending causally over its own tokens: one packed forward
+    of B lanes of T new tokens into a fresh ``DecodeState``, so it runs the
+    attention core of decoding and gives each sequence the bits it gets as a
+    lane of ``forward_tokens``. ``cache`` (a dict) receives what backprop
+    needs.
     """
     ids = np.atleast_2d(np.asarray(ids))
-    if ids.shape[1] > params.cfg.max_seq:
-        raise ShapeError(f"sequence length {ids.shape[1]} exceeds max_seq {params.cfg.max_seq}")
-    return _forward(params, ids, np.arange(ids.shape[1]), form, lut, cache=cache)
+    b, t = ids.shape
+    if t > params.cfg.max_seq:
+        raise ShapeError(f"sequence length {t} exceeds max_seq {params.cfg.max_seq}")
+    state = init_decode_state(params, b, t)
+    step = pack_lanes(state.lengths, np.full(b, t))
+    return _forward(params, ids, "train_form", None, state, step, cache=cache)
 
 
 def _forward(
     params: ModelParams,
     ids: np.ndarray,
-    positions: np.ndarray,
     form: str,
     lut,
-    state: DecodeState | None = None,
-    step: PackedStep | None = None,
+    state: DecodeState,
+    step: PackedStep,
     cache: dict | None = None,
     collect_hidden: list | None = None,
     moe_sel: list | None = None,
 ) -> np.ndarray:
-    """The layer loop of both forward forms: logits (B, T, vocab) for token
-    ``ids`` (B, T) at absolute ``positions`` (T,).
+    """The layer loop of every forward: logits for token ``ids``, the new
+    rows of the lanes of ``state`` laid out by ``step`` lane by lane, as one
+    (1, R) block or as (B, T) for B lanes of T rows each. Each layer's
+    attention writes into the state's arenas (see ``attention_forward``).
 
-    Without ``state`` every sequence attends causally over its own rows.
-    With a DecodeState ``ids`` is one (1, R) block of packed lanes laid out
-    by ``step``, and each layer's attention writes into its arenas (see
-    ``attention_forward``). mole LUT rows are prefetched for every id at
-    layer entry and awaited inside the expert sub-layer.
+    ``form`` selects the mole expert path: "train_form" runs the expert FFNs
+    on the embedding rows of the distinct ids; "lut_form" fetches
+    pre-computed rows from ``lut`` (a row source: prefetch(layer, ids) and
+    await_rows(ticket)), prefetched for every id at layer entry and awaited
+    inside the expert sub-layer. Dense and moe ignore ``form``.
     """
     if form not in ("train_form", "lut_form"):
         raise ValueError(f"unknown form {form!r}")
@@ -537,7 +519,8 @@ def _forward(
     x = embed(params, ids)
     flat = ids.reshape(-1)
     row_shape = (cfg.N,) + ids.shape + (cfg.d,)
-    rotary = rotary_tables(positions, cfg.d_head, cfg.rotary_fraction, params.dtype)
+    rotary = rotary_tables(step.pos.reshape(ids.shape), cfg.d_head, cfg.rotary_fraction,
+                           params.dtype)
     if cache is not None:
         cache.update(ids=ids, layers=[])
     if cfg.variant == "mole" and not mole_lut:
@@ -557,8 +540,7 @@ def _forward(
         lv = params.layer(i)
         lc: dict | None = {} if cache is not None else None
         ticket = lut.prefetch(i, flat) if mole_lut else None
-        x = attention_forward(lv, x, positions, rotary, cache=lc,
-                              kv=None if state is None else (state.k[i], state.v[i], step))
+        x = attention_forward(lv, x, rotary, (state.k[i], state.v[i], step), cache=lc)
         if lc is not None:
             lc["x_mid"] = x
         if cfg.variant == "dense":
@@ -570,7 +552,7 @@ def _forward(
         elif mole_lut:
             # (B*T, N, d) table rows -> (N, B, T, d)
             x = mole_layer_forward(lv, x, lambda t=ticket: lut.await_rows(t).transpose(
-                1, 0, 2).reshape(row_shape).astype(params.dtype), cache=lc)
+                1, 0, 2).reshape(row_shape).astype(params.dtype, copy=False), cache=lc)
         else:
             # (N, U padded, d) rows of the distinct ids -> (N, B, T, d)
             x = mole_layer_forward(lv, x, lambda lv=lv, lc=lc: mole_expert_rows(
@@ -592,13 +574,13 @@ def _forward(
 
 @dataclass
 class DecodeState:
-    """The KV arenas of one packed decode (single owner): per layer, every
-    lane's keys ``k[i]`` and values ``v[i]`` (lanes, H, slots, d_head),
-    ``slots`` being ``capacity`` rounded up to whole ``KEY_BLOCK``s;
-    ``lengths[b]`` is lane b's cached length, the position of its next
-    token, and may not pass ``capacity``. The arenas are zero where nothing
-    was written, so a block past a lane's span adds exact ``+0.0`` in the
-    attention core (``_attend_lanes``)."""
+    """The KV arenas of one decode or training forward (single owner): per
+    layer, every lane's keys ``k[i]`` and values ``v[i]`` (lanes, H, slots,
+    d_head), ``slots`` being ``capacity`` rounded up to whole
+    ``KEY_BLOCK``s; ``lengths[b]`` is lane b's cached length, the position
+    of its next token, and may not pass ``capacity``. The arenas are zero
+    where nothing was written, so a block past a lane's span adds exact
+    ``+0.0`` in the attention core (``_attend_lanes``)."""
 
     k: list[np.ndarray]
     v: list[np.ndarray]
@@ -669,9 +651,9 @@ def forward_lanes(
     runs once over all rows, and the attention core once over all lanes.
     ``matmul`` fixes each row's reduction whatever the row count, and the
     core's padding adds exact zeros, so each lane gets the bits it gets
-    alone. The layer loop is ``model_forward``'s. ``moe_sel`` (a list)
-    receives each moe layer's top-k selection (R, k), in layer order, and
-    ``collect_hidden`` (a list) each block's output (1, R, d), which
+    alone. Training runs the same loop (``model_forward``). ``moe_sel`` (a
+    list) receives each moe layer's top-k selection (R, k), in layer order,
+    and ``collect_hidden`` (a list) each block's output (1, R, d), which
     equivalence localization compares.
     """
     ids = [np.ravel(np.asarray(t)) for t in ids]
@@ -683,9 +665,8 @@ def forward_lanes(
     if np.any(state.lengths + lens > state.capacity):
         raise ShapeError("decode state capacity exceeded")
     step = pack_lanes(state.lengths, lens)
-    logits = _forward(params, np.concatenate(ids)[None, :], step.pos, form, lut,
-                      state=state, step=step, collect_hidden=collect_hidden,
-                      moe_sel=moe_sel)
+    logits = _forward(params, np.concatenate(ids)[None, :], form, lut, state, step,
+                      collect_hidden=collect_hidden, moe_sel=moe_sel)
     state.lengths += lens
     return logits[0]
 

@@ -4,10 +4,12 @@ losses for the moe variant, and a finite-difference gradient checker.
 
 The backward pass walks the layer loop that ``model.model_forward`` shares
 with decode in reverse, consuming the activation cache that the training-form
-forward records. mole trains with the language-
-model loss alone; the auxiliary z / load-balance terms exist as hooks for
-the moe variant and reproduce the pure-LM path bit-for-bit when their
-coefficients are zero.
+forward records. That forward runs the attention core of decoding, over the
+B x T batch as B lanes of a fresh ``DecodeState``; the attention backward
+reads the core's probabilities and the state's key and value arenas. mole
+trains with the language-model loss alone; the auxiliary z / load-balance
+terms exist as hooks for the moe variant and reproduce the pure-LM path
+bit-for-bit when their coefficients are zero.
 
 The mole routed experts ran once per distinct token id in the forward, so
 their backward runs once per id too: each expert's upstream gradient for an
@@ -133,11 +135,19 @@ def _attention_backward(
     dx_out: np.ndarray,
     grads: dict[str, np.ndarray],
 ) -> np.ndarray:
-    """Backprop x + Attn(input_norm(x)); returns d(x_in)."""
+    """Backprop x + Attn(input_norm(x)); returns d(x_in).
+
+    ``lc`` is what ``attention_forward`` cached for B lanes of T rows in a
+    fresh ``DecodeState``: the queries (B, H, T, d_head), the key and value
+    arenas and the probabilities over their slots. Slots past T hold zero
+    keys and values at zero probability, so the backward reads the first T.
+    """
     cfg = layer.cfg
     p = f"layers.{layer.index}"
     x_in, xn = lc["x_in"], lc["xn"]
-    q, keys, vals, probs, merged = lc["q"], lc["keys"], lc["vals"], lc["probs"], lc["merged"]
+    q, merged = lc["q"], lc["merged"]
+    t = q.shape[2]
+    keys, vals, probs = lc["keys"][:, :, :t], lc["vals"][:, :, :t], lc["probs"][..., :t]
     cos, sin = lc["rotary"]
     dtype = dx_out.dtype
 
@@ -220,7 +230,7 @@ def backward(
         raise ValueError("auxiliary router losses apply to the moe variant only")
 
     cache: dict = {}
-    logits = model_forward(params, ids, form="train_form", cache=cache)
+    logits = model_forward(params, ids, cache=cache)
     dtype = logits.dtype
     metrics = _loss_metrics(cfg, logits, targets, cache, tcfg)
     if not np.isfinite(metrics["total"]):

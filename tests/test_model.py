@@ -16,6 +16,7 @@ from mole.model import (
     embed,
     ffn_forward,
     forward_lanes,
+    forward_tokens,
     greedy_pick,
     init_decode_state,
     model_forward,
@@ -33,10 +34,24 @@ def mole_train_form(lv, x, e):
     return mole_layer_forward(lv, x, lambda: mole_expert_rows(lv, e))
 
 
-def attend(lv, x, positions, **kw):
-    """``attention_forward`` with the rotary tables of ``positions``."""
-    rotary = rotary_tables(positions, lv.cfg.d_head, lv.cfg.rotary_fraction, x.dtype)
-    return attention_forward(lv, x, positions, rotary, **kw)
+def attend(p, x, state=None, i=0):
+    """``attention_forward`` of layer ``i`` over ``x`` (B, T, d): T new rows
+    for each lane of ``state`` (a fresh ``DecodeState`` by default), after
+    its cached ones. The lengths do not advance."""
+    b, t, _ = x.shape
+    state = init_decode_state(p, b, t) if state is None else state
+    step = pack_lanes(state.lengths, np.full(b, t))
+    rotary = rotary_tables(step.pos.reshape(b, t), p.cfg.d_head, p.cfg.rotary_fraction,
+                           x.dtype)
+    return attention_forward(p.layer(i), x, rotary, (state.k[i], state.v[i], step))
+
+
+def lane_logits(p, ids, form="train_form", lut=None):
+    """``forward_tokens`` over the rows of ``ids`` (B, T) as B lanes of a
+    fresh ``DecodeState``, as (B, T, vocab)."""
+    ids = np.atleast_2d(ids)
+    state = init_decode_state(p, *ids.shape)
+    return forward_tokens(p, list(ids), state, form=form, lut=lut).reshape(ids.shape + (-1,))
 
 
 def gate_map(sel, gates):
@@ -74,17 +89,17 @@ class TestAttention:
         p.tensors["layers.0.attn.bo"][:] = 0.0
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 5, p.cfg.d)).astype(np.float32)
-        out = attend(p.layer(0), x, np.arange(5))
+        out = attend(p, x)
         assert np.array_equal(out, x)
 
     def test_causality(self):
         p = tiny_dense()
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 6, p.cfg.d)).astype(np.float32)
-        base = attend(p.layer(0), x, np.arange(6))
+        base = attend(p, x)
         x2 = x.copy()
         x2[0, 4] += 1.0  # perturb position 4; outputs at <= 3 must not move
-        pert = attend(p.layer(0), x2, np.arange(6))
+        pert = attend(p, x2)
         assert np.array_equal(base[0, :4], pert[0, :4])
         assert not np.array_equal(base[0, 4:], pert[0, 4:])
 
@@ -93,15 +108,14 @@ class TestAttention:
         rng = np.random.default_rng(2)
         t = 7
         x = rng.standard_normal((1, t, p.cfg.d)).astype(np.float32)
-        full = attend(p.layer(0), x, np.arange(t))
+        full = attend(p, x)
         state = init_decode_state(p, 1, t)
-        rows = [
-            attend(p.layer(0), x[:, i : i + 1], np.array([i]),
-                   kv=(state.k[0], state.v[0], pack_lanes(np.array([i]), np.array([1]))))
-            for i in range(t)
-        ]
+        rows = []
+        for i in range(t):
+            rows.append(attend(p, x[:, i : i + 1], state))
+            state.lengths += 1
         stepped = np.concatenate(rows, axis=1)
-        assert np.max(np.abs(stepped - full)) < 1e-6
+        assert stepped.tobytes() == full.tobytes()
 
 
 class TestRoute:
@@ -335,9 +349,9 @@ class TestModelForward:
     def test_dense_forms_identical(self):
         p = tiny_dense()
         ids = np.array([[1, 2, 3]])
-        a = model_forward(p, ids, form="train_form")
-        b = model_forward(p, ids, form="lut_form")
-        assert np.array_equal(a, b)
+        a = lane_logits(p, ids, form="train_form")
+        b = lane_logits(p, ids, form="lut_form")
+        assert a.tobytes() == b.tobytes()
 
     def test_single_token_shape(self):
         p = tiny_mole()
@@ -353,14 +367,22 @@ class TestModelForward:
         pert = model_forward(p, ids2)
         assert np.array_equal(base[0, :3], pert[0, :3])
 
-    def test_prefill_decode_equivalence_full_model(self):
+    @pytest.mark.parametrize("kernel", [kernels.TILED, kernels.SEQUENTIAL])
+    @pytest.mark.parametrize("ids", [[[2, 7, 1, 8, 2, 8]],
+                                     [[2, 7, 1, 8, 2, 8], [3, 1, 4, 1, 5, 9]]],
+                             ids=["one_sequence", "batch_of_two"])
+    def test_prefill_decode_equivalence_full_model(self, monkeypatch, kernel, ids):
+        """Training, prefill and token-by-token decode run one attention
+        core: the bits agree, for each sequence of a batch too."""
+        monkeypatch.setattr(kernels, "_backends", {np.dtype(np.float32): kernel})
+        ids = np.array(ids)
         for p in (tiny_dense(), tiny_moe(), tiny_mole()):
-            ids = np.array([2, 7, 1, 8, 2, 8])
-            full = model_forward(p, ids)[0]
-            state = init_decode_state(p, 1, len(ids))
-            rows = [forward_lanes(p, [[tok]], state) for tok in ids]
-            stepped = np.concatenate(rows, axis=0)
-            assert np.max(np.abs(stepped - full)) < 1e-6, p.cfg.variant
+            full = model_forward(p, ids)
+            assert full.tobytes() == lane_logits(p, ids).tobytes(), p.cfg.variant
+            state = init_decode_state(p, len(ids), ids.shape[1])
+            rows = [forward_lanes(p, [[tok] for tok in col], state) for col in ids.T]
+            stepped = np.stack(rows, axis=1)
+            assert stepped.tobytes() == full.tobytes(), p.cfg.variant
 
     def test_forward_lanes_checks_lanes_and_capacity(self):
         p = tiny_dense()
@@ -396,9 +418,9 @@ class TestModelForward:
             together = forward_lanes(p, packed_ids, packed)
             ends = np.cumsum([len(t) for t in packed_ids])
             assert together[ends[0]:ends[1]].tobytes() == alone.tobytes()
-            if i == 0:  # the multi-block core against the full-sequence one
+            if i == 0:  # the multi-block arena against the training-form forward
                 full = model_forward(p, prompts[2])[0]
-                assert np.max(np.abs(together[ends[1]:] - full)) < 1e-6
+                assert together[ends[1]:].tobytes() == full.tobytes()
             lone_ids = [[greedy_pick(alone[-1])]]
             packed_ids = [[greedy_pick(together[e - 1])] for e in ends]
             assert packed_ids[1] == lone_ids[0]
@@ -415,7 +437,7 @@ class TestModelForward:
         monkeypatch.setattr(model, "matmul", lambda a, b: calls.append(1) or real(a, b))
         rng = np.random.default_rng(3)
         h, dh, rows = 4, 8, sum(counts)
-        q, k, v = (rng.standard_normal((1, h, rows, dh)).astype(np.float32) for _ in range(3))
+        q, k, v = (rng.standard_normal((1, rows, h, dh)).astype(np.float32) for _ in range(3))
         keys = np.zeros((len(lengths), h, 3 * KEY_BLOCK, dh), np.float32)
         vals = np.zeros_like(keys)
         step = pack_lanes(np.array(lengths), np.array(counts))
@@ -425,16 +447,16 @@ class TestModelForward:
 
     def test_attention_arena_must_hold_whole_key_blocks(self):
         p = tiny_dense()
-        keys = np.zeros((1, p.cfg.n_heads, 7, p.cfg.d_head), np.float32)
+        state = init_decode_state(p, 1, 1)
+        state.k[0] = np.zeros((1, p.cfg.n_heads, 7, p.cfg.d_head), np.float32)
         x = np.zeros((1, 1, p.cfg.d), np.float32)
         with pytest.raises(ShapeError, match="multiple of 16"):
-            attend(p.layer(0), x, np.array([0]),
-                   kv=(keys, keys.copy(), pack_lanes(np.array([0]), np.array([1]))))
+            attend(p, x, state)
 
     def test_mole_lut_form_requires_handle(self):
         p = tiny_mole()
-        with pytest.raises(ValueError):
-            model_forward(p, np.array([[1]]), form="lut_form")
+        with pytest.raises(ValueError, match="needs a lut handle"):
+            lane_logits(p, np.array([[1]]), form="lut_form")
 
 
 def per_position_logits(p, ids):
@@ -442,10 +464,10 @@ def per_position_logits(p, ids):
     that position's own embedding row (``mole_expert_rows`` on all B*T rows,
     combined by ``mole_layer_forward`` through ``combine_expert_rows``)."""
     x = e = embed(p, ids)
-    positions = np.arange(ids.shape[1])
+    state = init_decode_state(p, *ids.shape)
     for i in range(p.cfg.L):
         lv = p.layer(i)
-        x = attend(lv, x, positions)
+        x = attend(p, x, state, i)
         x = mole_layer_forward(lv, x, mole_expert_rows(lv, e))
     xf = rmsnorm(x, p.tensors["final_norm.gain"], RMS_EPS)
     return matmul(xf, p.tensors["lm_head"])
@@ -494,7 +516,7 @@ class TestUniqueIdExperts:
         infer, tables = reparameterize(p)
         write_lut(tables, tmp_path / "t.lut", dtype="fp32")
         with open_lut(tmp_path / "t.lut") as lut:
-            lut_logits = model_forward(infer, ids, form="lut_form", lut=lut)
+            lut_logits = lane_logits(infer, ids, form="lut_form", lut=lut)
         assert lut_logits.tobytes() == model_forward(p, ids).tobytes()
 
 

@@ -7,7 +7,13 @@ from mole import kernels, reparam
 from mole.engine import greedy_decode
 from mole.kernels import ShapeError
 from mole.lut_store import TicketError, open_lut, write_lut
-from mole.model import init_decode_state, model_forward, mole_expert_rows, param_names
+from mole.model import (
+    forward_tokens,
+    init_decode_state,
+    model_forward,
+    mole_expert_rows,
+    param_names,
+)
 from mole.reparam import (
     InMemoryLut,
     build_layer_lut,
@@ -209,7 +215,8 @@ class TestRowSource:
         src = PrefetchOnlyLut(tables)
         assert not hasattr(src, "gather")
         ids = rng.integers(0, p.cfg.vocab, size=(2, 7))
-        got = model_forward(infer, ids, form="lut_form", lut=src)
+        got = forward_tokens(infer, list(ids), init_decode_state(p, *ids.shape),
+                             form="lut_form", lut=src)
         assert got.tobytes() == model_forward(p, ids).tobytes()
 
         prompts = random_prompts(rng, p.cfg.vocab, 6, p.cfg.max_seq)

@@ -233,15 +233,18 @@ class TestBackward:
 
 class TestGradientCheckSmall:
     def test_one_layer_mole(self):
+        """T = 18 spans two key blocks of the attention core: a full one and
+        a partial one, whose zero-padded key slots the backward must skip."""
         cfg = toy_config("mole", L=1, d=8, n_heads=2, D_s=6, D_r=4, N=2,
-                         vocab=7, max_seq=6, rotary_fraction=0.5)
+                         vocab=7, max_seq=18, rotary_fraction=0.5)
         p = init_params(cfg, seed=2)
         rng = np.random.default_rng(7)
-        ids = rng.integers(0, 7, size=(1, 4))
-        targets = rng.integers(0, 7, size=(1, 4))
-        report = gradient_check(p, (ids, targets), TrainConfig())
-        worst = max(report.values())
-        assert worst < 1e-4, report
+        for t in (4, 18):
+            ids = rng.integers(0, 7, size=(1, t))
+            targets = rng.integers(0, 7, size=(1, t))
+            report = gradient_check(p, (ids, targets), TrainConfig())
+            worst = max(report.values())
+            assert worst < 1e-4, (t, report)
 
     def test_mole_ids_repeated_within_and_across_sequences(self):
         """The expert, expert-norm and embedding gradients sum each distinct
