@@ -35,11 +35,14 @@ SEQUENTIAL = "sequential"
 
 # (K, N) shapes the probe runs: a model-sized one, ragged edges on both
 # axes, N == 1, which numpy sends to gemv rather than gemm, and the two
-# gemms of the attention core at d_head 16 (``model._attend_lanes``), whose
-# padding invariance rests on this row invariance. That core serves every
-# forward: training and the float64 gradient check as well as prefill,
-# decode and verification.
-_PROBE_SHAPES = ((64, 192), (33, 17), (7, 1), (16, 16))
+# gemms of the attention core, (d_head, 16) and (16, d_head), at d_head 16
+# (the toy configs), 32 and 64 (paper-sized heads). The core's padding
+# invariance, and the bit equality of its dense grid and tile plan
+# (``model._attend_lanes``), rest on this row invariance. That core serves
+# every forward: training and the float64 gradient check as well as
+# prefill, decode and verification.
+_PROBE_SHAPES = ((64, 192), (33, 17), (7, 1), (16, 16), (32, 16), (16, 32), (64, 16),
+                 (16, 64))
 
 ROTARY_BASE = 10000.0
 

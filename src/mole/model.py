@@ -15,13 +15,13 @@ RMS pre-norms and residual connections around each. One layer loop and one
 attention core serve every forward: training (``model_forward``, B lanes of
 T tokens) and prefill, decode and verification (``forward_lanes``, packed
 lanes of any lengths) all run over a ``DecodeState`` whose per-layer KV
-arenas hold every lane, and the core's bits do not depend on padding, so a
-sequence gets the same bits in all of them. The mole training form and LUT
-form differ only in where the expert rows come from: expert FFNs on the
-embedding rows of the batch's distinct token ids, gathered per position, or
-a row source (``prefetch``/``await_rows``) reading pre-computed tables. Both
-combine the rows in one sub-layer, so given identical rows they agree
-bit-for-bit.
+arenas hold every lane, and the core's bits do not depend on padding or on
+which tiles it scores, so a sequence gets the same bits in all of them. The
+mole training form and LUT form differ only in where the expert rows come
+from: expert FFNs on the embedding rows of the batch's distinct token ids,
+gathered per position, or a row source (``prefetch``/``await_rows``)
+reading pre-computed tables. Both combine the rows in one sub-layer, so
+given identical rows they agree bit-for-bit.
 
 Parameters live in a flat name -> ndarray dict (see ``init_params`` for the
 naming scheme); that representation doubles as the checkpoint manifest and as
@@ -246,11 +246,13 @@ def attention_forward(
     forward builds once for all its layers. ``kv`` is the layer's key arena,
     value arena (lanes, H, slots, d_head), ``slots`` a multiple of
     ``KEY_BLOCK``, and the step's ``PackedStep`` (which lane owns each row,
-    and where it goes). One fixed-split core writes the new keys and values
-    and attends every lane over its own prefix, with bits that do not depend
-    on padding (``_attend_lanes``), so a lane gets the bits it gets alone,
-    in training, prefill, decode and verification alike. ``cache``
-    receives what backprop needs.
+    where it goes, and which query/key tiles to score: the dense grid, or a
+    tile plan that skips key blocks wholly after a query chunk). One
+    fixed-split core writes the new keys and values and attends every lane
+    over its own prefix, with bits that do not depend on padding or on the
+    plan (``_attend_lanes``), so a lane gets the bits it gets alone, in
+    training, prefill, decode and verification alike. ``cache`` receives
+    what backprop needs.
     """
     cfg = layer.cfg
     b, t, d = x.shape
@@ -275,36 +277,49 @@ def _attend_lanes(q, k_, v, keys, vals, step, scale, cache=None):
     over its own prefix in one fixed-split core; returns the context with
     heads merged, in the rows' layout: (1, R, d) or (B, T, d).
 
-    New queries are zero-padded per lane to the step's largest new count,
-    and the arenas are read as blocks of ``KEY_BLOCK`` positions, as far as
-    the longest lane reaches. Scores are one ``matmul`` over (lanes, H,
-    blocks), set to ``-inf`` past each query's position; their max over all
-    blocks is exact. Each block's denominator sums exactly ``KEY_BLOCK``
-    exponentials, ``e @ V`` is one more ``matmul``, and the block partials
-    are added in ascending block order into accumulators that start at
-    ``+0.0``, then divided once. ``cache`` receives the padded queries
-    (lanes, H, n, d_head) and the probabilities (lanes, H, n, blocks *
-    KEY_BLOCK), which backprop reads.
+    New queries are zero-padded per lane to the step's largest new count
+    (to whole ``KEY_BLOCK`` chunks under a tile plan), and the arenas are
+    read as blocks of ``KEY_BLOCK`` positions, as far as the longest lane
+    reaches. ``step`` says which (query rows, key block) tiles to score:
+    - the dense grid (``step.tiles`` is None; at most ``KEY_BLOCK`` new rows
+      per lane, as in every decode step): every lane's padded queries
+      against every block, one ``matmul`` over (lanes, H, blocks);
+    - a tile plan (``TilePlan``; some lane brings more rows): for each
+      (lane, chunk of ``KEY_BLOCK`` query rows), only the blocks up to the
+      one holding the chunk's last position, stacked into one ``matmul``
+      over (tiles, H).
+    Scores are set to ``-inf`` past each query's position; their max over
+    the scored blocks is exact. Each block's denominator sums exactly
+    ``KEY_BLOCK`` exponentials, ``e @ V`` is one more ``matmul``, and the
+    block partials are added in ascending block order into accumulators
+    that start at ``+0.0``, then divided once. ``cache`` receives the padded
+    queries (lanes, H, n, d_head) and the probabilities (lanes, H, n, blocks
+    * KEY_BLOCK), zero on unscored tiles, which backprop reads.
 
-    A lane's bits thus do not depend on padding, alone or packed, in any
-    arena, under either ``matmul`` kernel: both gemms have fixed (K, N), so
-    each row's bits are fixed whatever rows share the call, and a block past
-    the lane's written span (zero exponentials, zero values) adds exact
-    ``+0.0``. The ``+0.0`` start matters: ``-0.0 + 0.0`` is ``+0.0``, so an
-    accumulator seeded with a ``-0.0`` partial would flip sign on a trailing
-    block, while one that starts at ``+0.0`` never holds ``-0.0``.
+    A lane's bits thus do not depend on padding, on the plan, alone or
+    packed, in any arena, under either ``matmul`` kernel: both gemms have
+    fixed (K, N) in both plans, so each row's bits are fixed whatever rows
+    share the call, and a block past a query's position or the lane's
+    written span (zero exponentials) adds exact ``+0.0``, so leaving it
+    unscored changes no bit. The ``+0.0`` start matters: ``-0.0 + 0.0`` is
+    ``+0.0``, so an accumulator seeded with a ``-0.0`` partial would flip
+    sign on a trailing block, while one that starts at ``+0.0`` never holds
+    ``-0.0``.
     """
     lanes, h, slots, dh = keys.shape
     if slots % KEY_BLOCK:
         raise ShapeError(f"arena of {slots} slots is not a multiple of {KEY_BLOCK}")
     keys[step.lane, :, step.pos] = k_.reshape(-1, h, dh)
     vals[step.lane, :, step.pos] = v.reshape(-1, h, dh)
-    _, _, blocks, n, _ = step.hidden.shape
+    blocks, n, tiles = step.blocks, step.rows, step.tiles
     split = (lanes, h, blocks, KEY_BLOCK, dh)
     kb = keys[:, :, : blocks * KEY_BLOCK].reshape(split)
     vb = vals[:, :, : blocks * KEY_BLOCK].reshape(split)
-    qp = np.zeros((lanes, h, n, dh), dtype=q.dtype)
+    padded = n if tiles is None else tiles.chunks * KEY_BLOCK
+    qp = np.zeros((lanes, h, padded, dh), dtype=q.dtype)
     qp[step.lane, :, step.row] = q.reshape(-1, h, dh)
+    if tiles is not None:
+        return _attend_tiles(qp, kb, vb, step, scale, cache, q.shape[:2] + (h * dh,))
     e = matmul(qp[:, :, None], kb.swapaxes(-1, -2))  # scores (lanes, H, blocks, n, KEY_BLOCK)
     e *= scale
     np.copyto(e, q.dtype.type(-np.inf), where=step.hidden)
@@ -322,6 +337,51 @@ def _attend_lanes(q, k_, v, keys, vals, step, scale, cache=None):
         probs = (e / den[:, :, None]).transpose(0, 1, 3, 2, 4)
         cache.update(q=qp, probs=probs.reshape(lanes, h, n, blocks * KEY_BLOCK))
     return ctx[step.lane, :, step.row].reshape(q.shape[:2] + (h * dh,))
+
+
+def _attend_tiles(qp, kb, vb, step, scale, cache, out_shape):
+    """``_attend_lanes`` over the tiles of ``step.tiles``: ``qp`` (lanes, H,
+    chunks * KEY_BLOCK, d_head) are the padded queries, ``kb``/``vb`` (lanes,
+    H, blocks, KEY_BLOCK, d_head) the arenas as key blocks."""
+    tiles = step.tiles
+    lanes, h, blocks, _, dh = kb.shape
+    qc = qp.reshape(lanes, h, tiles.chunks, KEY_BLOCK, dh)
+    e = matmul(qc[tiles.lane, :, tiles.chunk],
+               kb.swapaxes(-1, -2)[tiles.lane, :, tiles.block])  # (tiles, H, KEY_BLOCK, KEY_BLOCK)
+    e *= scale
+    np.copyto(e, qp.dtype.type(-np.inf), where=tiles.hidden)
+    # Tiles run block-major, and block b's tiles belong to groups (lane,
+    # chunk) 0 .. width[b] - 1, so every per-group reduction below runs over
+    # prefixes in ascending block order. The max (exact in any order) folds
+    # the blocks, then halves the keys: numpy's max over a 16-wide axis is
+    # several times slower than these elementwise maxima.
+    top = e[: tiles.width[0]].copy()
+    start = tiles.width[0]
+    for w in tiles.width[1:]:
+        np.maximum(top[:w], e[start : start + w], out=top[:w])
+        start += w
+    while top.shape[-1] > 1:
+        half = top.shape[-1] // 2
+        top = np.maximum(top[..., :half], top[..., half:])
+    e -= top[tiles.group]
+    np.exp(e, out=e)
+    den_parts = e.sum(axis=-1, keepdims=True)
+    ctx_parts = matmul(e, vb[tiles.lane, :, tiles.block])
+    den = np.zeros(top.shape, dtype=qp.dtype)
+    ctx = np.zeros(top.shape[:-1] + (dh,), dtype=qp.dtype)
+    start = 0
+    for w in tiles.width:
+        den[:w] += den_parts[start : start + w]
+        ctx[:w] += ctx_parts[start : start + w]
+        start += w
+    ctx /= den
+    if cache is not None:
+        e /= den[tiles.group]
+        probs = np.zeros((lanes, h, tiles.chunks * KEY_BLOCK, blocks * KEY_BLOCK), dtype=qp.dtype)
+        probs.reshape(lanes, h, tiles.chunks, KEY_BLOCK, blocks, KEY_BLOCK)[
+            tiles.lane, :, tiles.chunk, :, tiles.block] = e
+        cache.update(q=qp[:, :, : step.rows], probs=probs[:, :, : step.rows])
+    return ctx[tiles.row_group, :, tiles.row_slot].reshape(out_shape)
 
 
 def ffn_forward(
@@ -598,30 +658,97 @@ def init_decode_state(params: ModelParams, lanes: int, capacity: int) -> DecodeS
 
 
 @dataclass(frozen=True)
+class TilePlan:
+    """The tiles a step's attention core scores when some lane brings more
+    than ``KEY_BLOCK`` new rows. A group is one (lane, chunk of
+    ``KEY_BLOCK`` query rows); it sees the key blocks up to the one holding
+    its last row's position. Groups are ordered by that reach, farthest
+    first, so the groups seeing block b are groups 0 .. ``width[b]`` - 1.
+    Tile t is group ``group[t]``, that is ``chunk[t]`` of ``lane[t]``,
+    against key block ``block[t]``, listed block by block; ``hidden``
+    (tiles, 1, KEY_BLOCK, KEY_BLOCK) is True where a query must not see the
+    key. Packed row r is query ``row_slot[r]`` of group ``row_group[r]``;
+    ``chunks`` is the most chunks any lane has."""
+
+    lane: np.ndarray
+    chunk: np.ndarray
+    block: np.ndarray
+    group: np.ndarray
+    hidden: np.ndarray
+    width: tuple[int, ...]
+    row_group: np.ndarray
+    row_slot: np.ndarray
+    chunks: int
+
+
+@dataclass(frozen=True)
 class PackedStep:
     """The layout of one packed forward, shared by every layer's attention
     core: packed row r is new row ``row[r]`` of lane ``lane[r]``, at position
-    ``pos[r]``, where its key and value go. ``hidden`` (lanes, 1, blocks, n,
-    KEY_BLOCK) is True where a lane's new query j must not see the key at
-    that position of the first ``blocks`` key blocks; n is the step's
-    largest new count."""
+    ``pos[r]``, where its key and value go. The core reads the first
+    ``blocks`` key blocks; ``rows`` is the step's largest new count. It
+    scores a dense grid, every lane's padded queries against every block,
+    where ``hidden`` (lanes, 1, blocks, rows, KEY_BLOCK) is True where a
+    lane's new query j must not see the key at that position; or, when
+    ``tiles`` is set, only the tiles of that ``TilePlan`` (``hidden`` is
+    then None)."""
 
     lane: np.ndarray
     row: np.ndarray
     pos: np.ndarray
-    hidden: np.ndarray
+    blocks: int
+    rows: int
+    hidden: np.ndarray | None
+    tiles: TilePlan | None = None
 
 
 def pack_lanes(lengths: np.ndarray, counts: np.ndarray) -> PackedStep:
     """The ``PackedStep`` of ``counts[b]`` new rows per lane b, packed lane by
-    lane, after its ``lengths[b]`` cached ones."""
+    lane, after its ``lengths[b]`` cached ones. Up to ``KEY_BLOCK`` rows per
+    lane (every decode step) give the dense grid; more (training and long
+    prefills) give a tile plan that skips the key blocks wholly after a
+    query chunk. Both give every row the same bits (``_attend_lanes``); the
+    rule keeps the plan's set-up cost off one-row steps, where there is
+    little to skip."""
     lane = np.repeat(np.arange(len(counts)), counts)
     row = np.arange(lane.size) - (np.cumsum(counts) - counts)[lane]
+    pos = lengths[lane] + row
     blocks = -(-int((lengths + counts).max()) // KEY_BLOCK)
+    n = int(counts.max())
+    if n > KEY_BLOCK:
+        return PackedStep(lane, row, pos, blocks, n, None,
+                          _plan_tiles(lengths, counts, lane, row, blocks))
     key_pos = np.arange(blocks * KEY_BLOCK).reshape(blocks, 1, KEY_BLOCK)
-    query_pos = lengths[:, None] + np.arange(int(counts.max()))
+    query_pos = lengths[:, None] + np.arange(n)
     hidden = key_pos[None] > query_pos[:, None, :, None]
-    return PackedStep(lane, row, lengths[lane] + row, hidden[:, None])
+    return PackedStep(lane, row, pos, blocks, n, hidden[:, None])
+
+
+def _plan_tiles(lengths, counts, lane, row, blocks) -> TilePlan:
+    """The ``TilePlan`` of ``pack_lanes``'s step (``lane``/``row`` of each
+    packed row, ``blocks`` key blocks)."""
+    chunks = -(-counts // KEY_BLOCK)
+    g_lane = np.repeat(np.arange(len(counts)), chunks)
+    first = np.cumsum(chunks) - chunks
+    g_chunk = np.arange(g_lane.size) - first[g_lane]
+    last_row = np.minimum((g_chunk + 1) * KEY_BLOCK, counts[g_lane]) - 1
+    reach = (lengths[g_lane] + last_row) // KEY_BLOCK
+    # Rank the groups by reach, farthest first, by counting: a stable
+    # argsort pages in sort code that nothing else runs, raising peak RSS.
+    sees = reach[:, None] == np.arange(blocks)
+    hist = np.count_nonzero(sees, axis=0)
+    width = np.cumsum(hist[::-1])[::-1]
+    rank = (width - hist)[reach] + np.cumsum(sees, axis=0)[np.arange(reach.size), reach] - 1
+    order = np.empty_like(rank)
+    order[rank] = np.arange(rank.size)
+    group = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+    block = np.repeat(np.arange(blocks), width)
+    t_lane, t_chunk = g_lane[order][group], g_chunk[order][group]
+    query_pos = (lengths[t_lane] + t_chunk * KEY_BLOCK)[:, None] + np.arange(KEY_BLOCK)
+    key_pos = (block * KEY_BLOCK)[:, None] + np.arange(KEY_BLOCK)
+    hidden = key_pos[:, None, :] > query_pos[:, :, None]
+    return TilePlan(t_lane, t_chunk, block, group, hidden[:, None], tuple(width.tolist()),
+                    rank[first[lane] + row // KEY_BLOCK], row % KEY_BLOCK, int(chunks.max()))
 
 
 def forward_tokens(params: ModelParams, ids: list, state: DecodeState,

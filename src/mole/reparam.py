@@ -197,7 +197,9 @@ def verify_equivalence(
 def _prompt_groups(cfg, lengths: list[int]) -> list[range]:
     """Consecutive prompt index ranges whose packed prefill holds at most
     ``VERIFY_GROUP_ELEMENTS`` score or logit elements (a lone prompt always
-    forms a group)."""
+    forms a group). Scores are counted on the attention core's dense grid
+    (lanes x H x longest x slots); a prefill past ``KEY_BLOCK`` rows per
+    lane scores only the tiles of its plan, so the count is an upper bound."""
     def elements(lanes, longest, rows):
         slots = -(-longest // KEY_BLOCK) * KEY_BLOCK
         return max(lanes * cfg.n_heads * longest * slots, rows * cfg.vocab)

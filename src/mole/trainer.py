@@ -242,6 +242,9 @@ def backward(
     dlogits = lm_loss_grad(logits, targets)
     grads["lm_head"] += matmul(_flat(cache["xf"]).T, _flat(dlogits))
     dxf = matmul(dlogits, params.tensors["lm_head"].T)
+    # the logits and their gradient are the step's largest arrays; the
+    # layer loop, where the step's memory peaks, does not read them
+    del logits, dlogits
     dx, dgain = rmsnorm_backward(cache["x_final_in"], params.tensors["final_norm.gain"],
                                  dxf, RMS_EPS)
     grads["final_norm.gain"] += dgain
@@ -390,26 +393,42 @@ def adam_step(
     lr: float,
     tcfg: TrainConfig,
 ) -> None:
-    """Bias-corrected Adam update with decoupled weight decay, in place."""
+    """Bias-corrected Adam update with decoupled weight decay, in place.
+
+    Every temporary goes into one of two scratch buffers reused across the
+    tensors; each elementwise operation is the one the textbook update
+    ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` rounds, in its order.
+    """
     b1, b2 = tcfg.betas
     state.step += 1
     t = state.step
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
+    size = max(p.size for p in params.tensors.values())
+    scratch = np.empty((2, size), dtype=params.dtype)
     for name, p in params.tensors.items():
         g = grads[name]
         dt = p.dtype.type
         m = state.m[name]
         v = state.v[name]
+        num, den = (s[: p.size].reshape(p.shape) for s in scratch)
         m *= dt(b1)
-        m += dt(1.0 - b1) * g
+        np.multiply(g, dt(1.0 - b1), out=num)
+        m += num
         v *= dt(b2)
-        v += dt(1.0 - b2) * np.square(g)
-        m_hat = m / dt(c1)
-        v_hat = v / dt(c2)
-        p -= dt(lr) * (m_hat / (np.sqrt(v_hat) + dt(tcfg.eps)))
+        np.square(g, out=num)
+        num *= dt(1.0 - b2)
+        v += num
+        np.divide(m, dt(c1), out=num)
+        np.divide(v, dt(c2), out=den)
+        np.sqrt(den, out=den)
+        den += dt(tcfg.eps)
+        num /= den
+        num *= dt(lr)
+        p -= num
         if tcfg.weight_decay:
-            p -= dt(lr * tcfg.weight_decay) * p
+            np.multiply(p, dt(lr * tcfg.weight_decay), out=num)
+            p -= num
 
 
 # ---------------------------------------------------------------------------

@@ -179,8 +179,8 @@ class TestMatmul:
 
 class TestProbe:
     def test_probes_the_decode_attention_gemm_shape(self, monkeypatch):
-        # the decode core's gemms are (d_head, KEY_BLOCK) and (KEY_BLOCK, d_head):
-        # (16, 16) at the toy configs' d_head
+        # the attention core's gemms are (d_head, KEY_BLOCK) and (KEY_BLOCK,
+        # d_head): 16 at the toy configs' d_head, 32 and 64 at paper sizes
         probed = []
 
         def spy(a, b, lead):
@@ -189,7 +189,9 @@ class TestProbe:
 
         monkeypatch.setattr(kernels, "_matmul_tiled", spy)
         assert kernels._rows_invariant(np.dtype(np.float32))
-        assert (mole.model.KEY_BLOCK, mole.model.KEY_BLOCK) in probed
+        block = mole.model.KEY_BLOCK
+        for d_head in (16, 32, 64):
+            assert (d_head, block) in probed and (block, d_head) in probed, d_head
 
 
 class TestSequentialFallback:

@@ -369,14 +369,19 @@ class TestModelForward:
 
     @pytest.mark.parametrize("kernel", [kernels.TILED, kernels.SEQUENTIAL])
     @pytest.mark.parametrize("ids", [[[2, 7, 1, 8, 2, 8]],
-                                     [[2, 7, 1, 8, 2, 8], [3, 1, 4, 1, 5, 9]]],
-                             ids=["one_sequence", "batch_of_two"])
+                                     [[2, 7, 1, 8, 2, 8], [3, 1, 4, 1, 5, 9]],
+                                     np.random.default_rng(40).integers(0, 61, (2, 40))],
+                             ids=["one_sequence", "batch_of_two", "two_of_40"])
     def test_prefill_decode_equivalence_full_model(self, monkeypatch, kernel, ids):
         """Training, prefill and token-by-token decode run one attention
-        core: the bits agree, for each sequence of a batch too."""
+        core: the bits agree, for each sequence of a batch too. Past
+        ``KEY_BLOCK`` tokens, training and prefill score a tile plan and
+        decode the dense grid, so the 40-token batch checks both plans."""
         monkeypatch.setattr(kernels, "_backends", {np.dtype(np.float32): kernel})
         ids = np.array(ids)
-        for p in (tiny_dense(), tiny_moe(), tiny_mole()):
+        max_seq = 48 if ids.shape[1] > KEY_BLOCK else 16
+        for p in (tiny_dense(max_seq=max_seq), tiny_moe(max_seq=max_seq),
+                  tiny_mole(max_seq=max_seq)):
             full = model_forward(p, ids)
             assert full.tobytes() == lane_logits(p, ids).tobytes(), p.cfg.variant
             state = init_decode_state(p, len(ids), ids.shape[1])
@@ -429,8 +434,25 @@ class TestModelForward:
             assert big[1, :, :n].tobytes() == small[0, :, :n].tobytes()
             assert not big[1, :, n:].any()
 
+        # A continuing prefill of 20 rows after 10 cached, beside a fresh
+        # 33-row one: query chunks start off a block boundary, and each lane
+        # gets the bits of its lone run.
+        seqs = [rng.integers(0, p.cfg.vocab, size=n) for n in (30, 33)]
+        pair, first = init_decode_state(p, 2, 48), init_decode_state(p, 1, 48)
+        forward_lanes(p, [seqs[0][:10]], first)
+        for big, small in zip(pair.k + pair.v, first.k + first.v):
+            big[0] = small[0]
+        pair.lengths[0] = 10
+        assert pack_lanes(pair.lengths, np.array([20, 33])).tiles is not None
+        together = forward_lanes(p, [seqs[0][10:], seqs[1]], pair)
+        alone = [forward_lanes(p, [seqs[0][10:]], first), model_forward(p, seqs[1])[0]]
+        assert together[:20].tobytes() == alone[0].tobytes()
+        assert together[:20].tobytes() == model_forward(p, seqs[0])[0, 10:].tobytes()
+        assert together[20:].tobytes() == alone[1].tobytes()
+
     @pytest.mark.parametrize("lengths, counts", [([0], [1]), ([4], [9]),
-                                                 ([3, 0, 17, 30], [1, 5, 1, 2])])
+                                                 ([3, 0, 17, 30], [1, 5, 1, 2]),
+                                                 ([0, 5, 2], [20, 3, 30])])
     def test_decode_core_is_two_matmul_calls(self, monkeypatch, lengths, counts):
         calls = []
         real = model.matmul
@@ -444,6 +466,34 @@ class TestModelForward:
         ctx = model._attend_lanes(q, k, v, keys, vals, step, np.float32(dh ** -0.5))
         assert ctx.shape == (1, rows, h * dh) and np.isfinite(ctx).all()
         assert len(calls) == 2
+
+    def test_pack_lanes_scores_only_visible_key_blocks(self):
+        """Past ``KEY_BLOCK`` new rows in some lane, a step lists each (lane,
+        query chunk)'s key blocks up to its last position; otherwise it keeps
+        the dense lanes x blocks grid."""
+        verify = np.linspace(1, 64, 16).round().astype(int)
+        for lengths, counts, planned, dense in (
+                (np.zeros(16, int), verify, 80, 256),  # verify's 16 prompts of 1..64
+                (np.zeros(8, int), np.full(8, 48), 48, 72),  # a training batch of 8 x 48
+                (np.array([10, 0]), np.array([20, 33]), 10, 18)):
+            step = pack_lanes(lengths, counts)
+            tiles = step.tiles
+            assert step.hidden is None and len(tiles.block) == planned
+            assert len(counts) * tiles.chunks * step.blocks == dense
+            assert sum(tiles.width) == planned and list(tiles.width) == sorted(tiles.width)[::-1]
+            for lane in range(len(counts)):  # each chunk's blocks are 0 .. its last position's
+                for chunk in range(-(-counts[lane] // KEY_BLOCK)):
+                    last = lengths[lane] + min((chunk + 1) * KEY_BLOCK, counts[lane]) - 1
+                    mine = (tiles.lane == lane) & (tiles.chunk == chunk)
+                    assert sorted(tiles.block[mine]) == list(range(last // KEY_BLOCK + 1))
+            groups = tiles.width[0]  # block 0's tiles list every group once, in order
+            assert (tiles.lane[:groups][tiles.row_group] == step.lane).all()
+            assert (tiles.chunk[:groups][tiles.row_group] == step.row // KEY_BLOCK).all()
+            assert (tiles.row_slot == step.row % KEY_BLOCK).all()
+        for lengths, counts in (([0] * 4, [16] * 4), ([3, 40], [1, 1]), ([0, 7], [16, 2])):
+            step = pack_lanes(np.array(lengths), np.array(counts))
+            assert step.tiles is None
+            assert step.hidden.shape == (len(counts), 1, step.blocks, max(counts), KEY_BLOCK)
 
     def test_attention_arena_must_hold_whole_key_blocks(self):
         p = tiny_dense()

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import tiny_dense, tiny_moe, tiny_mole
 
+from mole import kernels
 from mole.config import TrainConfig, toy_config
 from mole.kernels import softmax
 from mole.model import init_params
@@ -151,6 +152,41 @@ class TestAdam:
         for k in p.tensors:
             delta = before[k] - p.tensors[k]
             assert np.allclose(delta, lr, rtol=1e-5), k
+
+    @pytest.mark.parametrize("kernel", [kernels.TILED, kernels.SEQUENTIAL])
+    def test_scratch_buffers_keep_the_textbook_bits(self, monkeypatch, kernel):
+        """The in-place update rounds like the textbook expression, step
+        after step: params, m and v bytes agree after 10 toy-mole steps."""
+        def textbook_step(p, grads, state, lr, tcfg):
+            b1, b2 = tcfg.betas
+            state.step += 1
+            c1, c2 = 1.0 - b1**state.step, 1.0 - b2**state.step
+            for name, t in p.tensors.items():
+                g, m, v, dt = grads[name], state.m[name], state.v[name], t.dtype.type
+                m *= dt(b1)
+                m += dt(1.0 - b1) * g
+                v *= dt(b2)
+                v += dt(1.0 - b2) * np.square(g)
+                t -= dt(lr) * ((m / dt(c1)) / (np.sqrt(v / dt(c2)) + dt(tcfg.eps)))
+                if tcfg.weight_decay:
+                    t -= dt(lr * tcfg.weight_decay) * t
+
+        monkeypatch.setattr(kernels, "_backends", {np.dtype(np.float32): kernel})
+        tcfg = TrainConfig(total_steps=10, batch=8, seq_len=48)
+        ref = init_params(toy_config("mole", max_seq=64), seed=3)
+        got = ref.copy()
+        ref_state, got_state = AdamState.init(ref), AdamState.init(got)
+        corpus = synthetic_corpus(4096, 32, seed=7, vocab=ref.cfg.vocab)
+        rng = np.random.default_rng(5)
+        for step in range(10):
+            _, grads = backward(ref, sample_batch(corpus, rng, tcfg.batch, tcfg.seq_len), tcfg)
+            clip_gradients(grads, tcfg.grad_clip)
+            textbook_step(ref, grads, ref_state, lr_at(step, tcfg), tcfg)
+            adam_step(got, grads, got_state, lr_at(step, tcfg), tcfg)
+        for name in ref.tensors:
+            for a, b in ((ref.tensors, got.tensors), (ref_state.m, got_state.m),
+                         (ref_state.v, got_state.v)):
+                assert a[name].tobytes() == b[name].tobytes(), name
 
     def test_determinism_bit_identical(self):
         def run():
