@@ -37,6 +37,7 @@ the previous step's activated union stay resident per layer.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,26 +128,37 @@ def step_latency(nbytes: int, bw: BandwidthModel | None) -> float:
     return bw.fixed_overhead + nbytes / bw.bytes_per_second
 
 
-@dataclass
+# One packed StepMeter record: step, lanes, elements, bytes, experts_loaded.
+# sim_seconds is not stored: it is step_latency(bytes, bandwidth).
+_RECORD = struct.Struct("<iiqqi")
+
+
+@dataclass(slots=True)
 class StepMeter:
+    """Per-step transfer records, packed into one byte array (28 B a step);
+    ``records`` builds the ``StepRecord``s on each access, so a kept meter
+    holds only the packed bytes."""
+
     bytes_per_element: int
     bandwidth: BandwidthModel | None = None
-    records: list[StepRecord] = field(default_factory=list)
+    _packed: bytearray = field(default_factory=bytearray, init=False, repr=False)
 
     def add(self, step: int, lanes: int, elements: int, experts_loaded: int = 0,
-            nbytes: int | None = None) -> StepRecord:
+            nbytes: int | None = None) -> None:
         """Record one step; bytes default to elements * bytes_per_element but
         callers with exact transfer counts (e.g. quantized rows) pass nbytes."""
         if nbytes is None:
             nbytes = elements * self.bytes_per_element
-        rec = StepRecord(step, lanes, elements, nbytes, experts_loaded,
-                         step_latency(nbytes, self.bandwidth))
-        self.records.append(rec)
-        return rec
+        self._packed += _RECORD.pack(step, lanes, elements, nbytes, experts_loaded)
+
+    @property
+    def records(self) -> list[StepRecord]:
+        return [StepRecord(*fields, step_latency(fields[3], self.bandwidth))
+                for fields in _RECORD.iter_unpack(self._packed)]
 
     @property
     def total_bytes(self) -> int:
-        return sum(r.bytes for r in self.records)
+        return sum(fields[3] for fields in _RECORD.iter_unpack(self._packed))
 
     def decode_records(self) -> list[StepRecord]:
         return [r for r in self.records if r.step >= 0]

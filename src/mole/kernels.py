@@ -13,6 +13,17 @@ lean on that property. On first use for each dtype a small probe checks it
 against the local BLAS; if any row differs, ``matmul`` warns once and runs
 ``matmul_sequential``, a fixed k-ascending loop, instead. ``backend`` says
 which of the two ran, and the CLI manifests record it.
+
+``gelu`` and ``gelu_grad`` take the Gaussian CDF from ``_erf``. For float32
+that is a rational in t^2 (``tools/fit_erf.py``), evaluated with IEEE
+``+ * /`` and ``minimum``/``maximum`` only, elementwise: a row's bits do not
+depend on the rows that share the call, and they are the same on every
+IEEE machine. Its max abs error against double erf is 4.3e-7 over every
+float32 in [2^-12, 6], and it is exactly +-1 from |t| = 3.92 on, as
+float32-rounded erf is. Float64 keeps SciPy's double erf, imported on the
+first float64 call: the float64 gradient check keeps its accuracy and its
+bits, and a process that only touches float32 never loads
+``scipy.special``.
 """
 
 from __future__ import annotations
@@ -21,7 +32,6 @@ import threading
 import warnings
 
 import numpy as np
-from scipy.special import erf
 
 FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -45,6 +55,22 @@ _PROBE_SHAPES = ((64, 192), (33, 17), (7, 1), (16, 16), (32, 16), (16, 32), (64,
                  (16, 64))
 
 ROTARY_BASE = 10000.0
+
+# float32 erf(t) = t P(t^2) / Q(t^2), t clamped to +-3.92 and the result to
+# [-1, 1]; P (degree 6) and Q (monic, degree 4) list the highest degree
+# first, as tools/fit_erf.py prints them. The constants are 0-d arrays:
+# numpy runs an in-place ufunc ~3x faster with a 0-d array operand than with
+# a scalar, which matters at one row.
+_ERF_T_MAX, _ERF_T_MIN = np.array(3.92, np.float32), np.array(-3.92, np.float32)
+_ERF_P = tuple(np.array(c, np.float32) for c in (1.695298e-05, -0.0017727457, 0.14048247,
+                                                 3.9172037, 46.875744, 192.41277, 1001.3229))
+_ERF_Q = tuple(np.array(c, np.float32) for c in (14.020844, 108.261604, 466.3158, 887.3997))
+_CONSTANTS = {
+    dtype: {name: np.array(c, dtype) for name, c in (
+        ("one", 1.0), ("minus_one", -1.0), ("half", 0.5), ("minus_half", -0.5),
+        ("inv_sqrt2", 1.0 / np.sqrt(2.0)), ("inv_sqrt2pi", 1.0 / np.sqrt(2.0 * np.pi)))}
+    for dtype in FLOAT_DTYPES
+}
 
 
 class ShapeError(ValueError):
@@ -116,9 +142,19 @@ def _row_major(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x)
 
 
+def _pad_tile(a: np.ndarray, rows: int) -> np.ndarray:
+    """``a``'s last ``rows`` rows, zero-padded below to one ``TILE_ROWS`` tile."""
+    pad = np.zeros(a.shape[:-2] + (TILE_ROWS, a.shape[-1]), dtype=a.dtype)
+    pad[..., :rows, :] = a[..., a.shape[-2] - rows:, :]
+    return pad
+
+
 def _matmul_tiled(a: np.ndarray, b: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
     a, b = _row_major(a), _row_major(b)
     m, k, n = a.shape[-2], a.shape[-1], b.shape[-1]
+    if m < TILE_ROWS:
+        # one padded tile: its gemm's leading rows are the result
+        return np.matmul(_pad_tile(a, m), b)[..., :m, :]
     out = np.empty(lead + (m, n), dtype=a.dtype)
     whole = m - m % TILE_ROWS
     if whole:
@@ -128,9 +164,7 @@ def _matmul_tiled(a: np.ndarray, b: np.ndarray, lead: tuple[int, ...]) -> np.nda
                   b[..., None, :, :],
                   out=out[..., :whole, :].reshape(lead + (tiles, TILE_ROWS, n)))
     if whole < m:
-        pad = np.zeros(a.shape[:-2] + (TILE_ROWS, k), dtype=a.dtype)
-        pad[..., : m - whole, :] = a[..., whole:, :]
-        out[..., whole:, :] = np.matmul(pad, b)[..., : m - whole, :]
+        out[..., whole:, :] = np.matmul(_pad_tile(a, m - whole), b)[..., : m - whole, :]
     return out
 
 
@@ -215,24 +249,70 @@ def rmsnorm_backward(
     return dx.astype(x.dtype), dgain.astype(x.dtype)
 
 
+def _erf(t: np.ndarray) -> np.ndarray:
+    """erf of ``t``, elementwise, computed in ``t``'s buffer: for float32 the
+    rational of the module docstring by in-place Horner steps, for float64
+    SciPy's double erf, imported here on first use."""
+    if t.dtype == np.float64:
+        from scipy.special import erf
+
+        return erf(t, out=t)
+    c = _CONSTANTS[t.dtype]
+    np.minimum(t, _ERF_T_MAX, out=t)
+    np.maximum(t, _ERF_T_MIN, out=t)
+    s = np.multiply(t, t, out=np.empty_like(t))
+    num = np.multiply(s, _ERF_P[0], out=np.empty_like(t))
+    for p in _ERF_P[1:-1]:
+        num += p
+        num *= s
+    num += _ERF_P[-1]
+    num *= t
+    den = np.add(s, _ERF_Q[0], out=t)
+    for q in _ERF_Q[1:]:
+        den *= s
+        den += q
+    num /= den
+    np.minimum(num, c["one"], out=num)
+    return np.maximum(num, c["minus_one"], out=num)
+
+
+def _gaussian_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = (1 + erf(x / sqrt 2)) / 2, in a fresh array of x's dtype."""
+    c = _CONSTANTS[x.dtype]
+    cdf = _erf(np.multiply(x, c["inv_sqrt2"], out=np.empty_like(x)))
+    cdf += c["one"]
+    cdf *= c["half"]
+    return cdf
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact-erf Gaussian error linear unit: x * Phi(x)."""
+    """Exact-erf Gaussian error linear unit: x * Phi(x), Phi(x) =
+    (1 + erf(x / sqrt 2)) / 2. float32 takes erf from the rational of the
+    module docstring (max abs error 4.3e-7, so Phi is within 2.2e-7, and
+    exactly 0 from x = -5.55); float64 from SciPy's double erf. Every
+    element's bits are its own."""
     x = np.asarray(x)
     _check_float(x, "x")
-    half = x.dtype.type(0.5)
-    inv_sqrt2 = x.dtype.type(1.0 / np.sqrt(2.0))
-    return (x * half * (1.0 + erf(x * inv_sqrt2))).astype(x.dtype)
+    cdf = _gaussian_cdf(x)
+    cdf *= x
+    return cdf
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """d/dx of exact-erf GELU: Phi(x) + x * phi(x)."""
+    """d/dx of exact-erf GELU: Phi(x) + x * phi(x), with ``gelu``'s Phi
+    (the float32 rational erf or SciPy's double erf) and phi = exp(-x^2 / 2)
+    / sqrt(2 pi)."""
     x = np.asarray(x)
-    half = x.dtype.type(0.5)
-    inv_sqrt2 = x.dtype.type(1.0 / np.sqrt(2.0))
-    inv_sqrt2pi = x.dtype.type(1.0 / np.sqrt(2.0 * np.pi))
-    phi = inv_sqrt2pi * np.exp(-half * x * x)
-    cdf = half * (1.0 + erf(x * inv_sqrt2))
-    return (cdf + x * phi).astype(x.dtype)
+    _check_float(x, "x")
+    c = _CONSTANTS[x.dtype]
+    pdf = np.multiply(x, x, out=np.empty_like(x))
+    pdf *= c["minus_half"]
+    np.exp(pdf, out=pdf)
+    pdf *= c["inv_sqrt2pi"]
+    pdf *= x
+    cdf = _gaussian_cdf(x)
+    cdf += pdf
+    return cdf
 
 
 def rotary_tables(

@@ -210,7 +210,9 @@ def route(router: np.ndarray, h_normed: np.ndarray, variant: str, k: int
         return logits, np.arange(router.shape[0]), softmax(logits)
     if variant == "moe":
         sel = topk_select(logits, k)
-        return logits, sel, softmax(np.take_along_axis(logits, sel, axis=-1))
+        rows = logits.reshape(-1, logits.shape[-1])
+        picked = rows[np.arange(len(rows))[:, None], sel.reshape(len(rows), k)]
+        return logits, sel, softmax(picked.reshape(sel.shape))
     raise ValueError(f"variant {variant!r} has no router")
 
 
@@ -424,24 +426,32 @@ def moe_layer_forward(
     cache: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k routed expert sub-layer (no shared expert): x + sum g_j FFN_j(hn).
-    Returns it with the selected experts (..., k), which offloading loads."""
+    Returns it with the selected experts (..., k), which offloading loads.
+    Only the selected experts run, and their hidden layers share one
+    ``gelu`` call."""
     cfg = layer.cfg
     hn = rmsnorm(x, layer.norm_gain("post_attn_norm"), RMS_EPS)
     logits, sel, gates = route(layer.router, hn, "moe", cfg.k)  # (B, T, N), (B, T, k) x 2
     out = x.copy()
     expert_caches: list[dict] = [{} for _ in range(cfg.N)]
-    for j in range(cfg.N):
-        lane, tok, slot = np.nonzero(sel == j)
-        if lane.size == 0:
-            continue
-        w1, b1, w2, b2 = layer.expert(j)
-        inp = hn[lane, tok]  # (n_j, d)
-        ec = expert_caches[j] if cache is not None else None
-        y = ffn_forward(inp, w1, b1, w2, b2, cache=ec)
+    present = np.flatnonzero(np.bincount(sel.ravel(), minlength=cfg.N)).tolist()
+    picks = [np.nonzero(sel == j) for j in present]  # (lane, tok, slot) per expert
+    experts = [layer.expert(j) for j in present]
+    inps = [hn[lane, tok] for lane, tok, _ in picks]  # (n_j, d)
+    pres = [matmul(inp, w1) + b1 for inp, (w1, b1, _, _) in zip(inps, experts)]
+    # one GELU over every expert's rows: it is elementwise, so each row keeps its bits
+    acts = gelu(np.concatenate(pres)) if pres else None
+    start = 0
+    for j, (lane, tok, slot), (_, _, w2, b2), inp, pre in zip(present, picks, experts, inps,
+                                                            pres):
+        act = acts[start:start + len(pre)]
+        start += len(pre)
+        y = matmul(act, w2) + b2
         g = gates[lane, tok, slot][:, None]
         out[lane, tok] += g * y  # (lane, tok) pairs are unique per expert
         if cache is not None:
-            expert_caches[j].update(lane=lane, tok=tok, slot=slot, inp=inp, y=y)
+            expert_caches[j].update(lane=lane, tok=tok, slot=slot, inp=inp, pre=pre,
+                                    act=act, y=y)
     if cache is not None:
         cache.update(hn=hn, router_logits=logits, sel=sel, gates=gates,
                      experts=expert_caches)

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,6 +169,37 @@ class TestGreedyDecode:
         a = greedy_decode(p, prompts, steps=6, runtime="moe")
         b = greedy_decode(p, prompts, steps=6, runtime="moe-offload", seed=5)
         assert a.tokens == b.tokens  # offloading changes transfers, not math
+
+    def test_kept_result_is_compact(self):
+        # the meter packs its records (28 B a step) and builds StepRecords on
+        # access, so a kept 16-step result holds ~0.8 KiB (3 KiB as a list of
+        # StepRecords)
+        p = tiny_moe(seed=3)
+        prompt = [np.arange(1, 9)]
+        greedy_decode(p, prompt, steps=16, runtime="moe-offload", seed=1)
+        tracemalloc.start()
+        try:
+            res = greedy_decode(p, prompt, steps=16, runtime="moe-offload", seed=1)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del res
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < freed <= 1300
+
+    def test_meter_records_round_trip(self):
+        bw = BandwidthModel(bytes_per_second=1e9, fixed_overhead=1e-6)
+        meter = engine.StepMeter(bytes_per_element=2, bandwidth=bw)
+        meter.add(-1, 3, 10)
+        meter.add(0, 3, 2**40, 5, nbytes=2**41 + 1)
+        assert [(r.step, r.lanes, r.elements, r.bytes, r.experts_loaded, r.sim_seconds)
+                for r in meter.records] == [
+            (-1, 3, 10, 20, 0, step_latency(20, bw)),
+            (0, 3, 2**40, 2**41 + 1, 5, step_latency(2**41 + 1, bw))]
+        assert [r.step for r in meter.decode_records()] == [0]
+        assert meter.total_bytes == 2**41 + 21
 
     def test_dense_no_transfer(self, rng):
         p = tiny_dense()

@@ -337,6 +337,111 @@ class TestGelu:
         fd = (gelu(xs + h) - gelu(xs - h)) / (2 * h)
         assert np.max(np.abs(gelu_grad(xs) - fd)) < 1e-8
 
+    @pytest.mark.parametrize("fn", [gelu, gelu_grad])
+    @pytest.mark.parametrize("rows", [1, 15, 16, 37])
+    def test_rows_match_lone_rows_bitwise(self, fn, rows):
+        x = np.random.default_rng(rows).standard_normal((rows, 48)).astype(np.float32) * 4
+        full = fn(x)
+        assert full.dtype == np.float32 and full.shape == x.shape
+        for i in range(rows):
+            assert fn(x[i : i + 1]).tobytes() == full[i : i + 1].tobytes()
+
+    def test_float32_gelu_is_negative_zero_far_left(self):
+        # as with a correctly rounded float32 erf, Phi(x) is exactly 0 from x = -5.55
+        x = -np.geomspace(5.55, 1e30, 10_000).astype(np.float32)
+        assert gelu(x).tobytes() == np.full_like(x, -0.0).tobytes()
+        assert gelu(-x).tobytes() == (-x).tobytes()
+
+    def test_float64_keeps_double_erf(self):
+        from scipy.special import erf as scipy_erf
+
+        x = np.linspace(-8, 8, 1001)
+        assert kernels._erf(x.copy()).tobytes() == scipy_erf(x).tobytes()
+        want = x * 0.5 * (1.0 + scipy_erf(x * (1.0 / np.sqrt(2.0))))
+        assert gelu(x).tobytes() == want.tobytes()
+
+
+def erf32(t):
+    return kernels._erf(np.array(t, dtype=np.float32))
+
+
+class TestFloat32Erf:
+    def test_max_abs_error_against_double_erf(self):
+        # every float32 in [2^-12, 6] (1.2e8 values), every other one negated
+        from scipy.special import erf as scipy_erf
+
+        lo = int(np.float32(2.0**-12).view(np.uint32))
+        hi = int(np.float32(6.0).view(np.uint32))
+        assert hi - lo > 10**8
+        worst = 0.0
+        for start in range(lo, hi + 1, 1 << 21):
+            t = np.arange(start, min(start + (1 << 21), hi + 1), dtype=np.uint32).view(np.float32)
+            t[1::2] *= -1
+            got = erf32(t)
+            assert got.dtype == np.float32
+            worst = max(worst, float(np.max(np.abs(got - scipy_erf(t.astype(np.float64))))))
+        assert worst <= 4.3e-7  # the figure the kernels docstring states
+
+    def test_matches_high_precision_erf_oracle(self):
+        import mpmath
+
+        t = np.linspace(-6, 6, 1201, dtype=np.float32)
+        want = np.array([float(mpmath.erf(mpmath.mpf(float(v)))) for v in t])
+        assert np.max(np.abs(erf32(t) - want)) <= 4.3e-7
+
+    def test_zero_odd_and_bounded(self):
+        zeros = erf32(np.array([0.0, -0.0], np.float32))
+        assert zeros.tobytes() == np.array([0.0, -0.0], np.float32).tobytes()
+        rng = np.random.default_rng(21)
+        t = np.concatenate([rng.standard_normal(10**6) * 3, rng.uniform(-10, 10, 10**6),
+                            [np.inf, 1e30, 3.4e38, 1e-30, 1e-45]]).astype(np.float32)
+        assert erf32(-t).tobytes() == (-erf32(t)).tobytes()
+        assert np.max(np.abs(erf32(t))) <= 1.0
+
+    def test_exactly_one_from_3_92(self):
+        # float32-rounded erf is 1 from float32(3.92) on; so is this one, exactly
+        lo = int(np.float32(3.92).view(np.uint32))
+        hi = int(np.float32(6.0).view(np.uint32))
+        t = np.concatenate([np.arange(lo, hi + 1, dtype=np.uint32).view(np.float32),
+                            np.array([10.0, 1e10, 3.4e38, np.inf], np.float32)])
+        assert np.all(erf32(t) == 1.0)
+        assert np.all(erf32(-t) == -1.0)
+
+    def test_float32_processes_never_load_scipy_special(self):
+        script = textwrap.dedent("""
+            import sys, tempfile
+            from pathlib import Path
+            import numpy as np
+            from mole.config import TrainConfig, toy_config
+            from mole.engine import greedy_decode
+            from mole.lut_store import open_lut, write_lut
+            from mole.model import init_params
+            from mole.reparam import reparameterize, verify_equivalence
+            from mole.trainer import synthetic_corpus, train
+
+            cfg = toy_config("mole", L=2, d=32, n_heads=4, D_s=48, D_r=24, N=4, vocab=61,
+                             max_seq=16)
+            params = init_params(cfg, seed=3)
+            corpus = synthetic_corpus(512, 16, seed=4, vocab=61)
+            params = train(params, corpus, TrainConfig(total_steps=1, batch=2, seq_len=12)).params
+            infer, tables = reparameterize(params)
+            prompts = [np.array([1, 2, 3]), np.array([4, 5, 6, 7, 8])]
+            with tempfile.TemporaryDirectory() as tmp:
+                write_lut(tables, Path(tmp) / "t.lut")
+                with open_lut(Path(tmp) / "t.lut") as lut:
+                    report = verify_equivalence(params, infer, lut, prompts, tolerance=0.0)
+                    greedy_decode(infer, prompts, steps=3, runtime="mole-lut", lut=lut)
+            assert report.passed and params.dtype == np.float32
+            print("scipy.special" in sys.modules)
+        """)
+        src = str(Path(mole.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 def rotate(x, positions, fraction, inverse=False):
     """``apply_rotary`` with tables built for ``x``'s head width."""
