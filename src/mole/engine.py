@@ -240,29 +240,29 @@ def greedy_decode(
     # from its last row
     before = lut.bytes_read if mole_lut else 0
     logits = forward_tokens(params, prompts, state, form=form, lut=lut)
-    current = [greedy_pick(row) for row in logits[np.cumsum(lens) - 1]]
+    current = greedy_pick(logits[np.cumsum(lens) - 1])
     meter.add(-1, lanes, sum(lens) * lut_row_elements if mole_lut else 0, 0,
               nbytes=lut.bytes_read - before if mole_lut else 0)
 
+    # a step is one new token per lane: the ids of row b are lane b's
+    ones = np.ones(lanes, dtype=np.int64)
     ids = np.empty((lanes, steps), dtype=np.int32)
     for step in range(steps):
         ids[:, step] = current
         before = lut.bytes_read if mole_lut else 0
         sel: list[np.ndarray] | None = [] if runtime == "moe-offload" else None
-        logits = forward_lanes(params, [[tok] for tok in current], state,
-                               form=form, lut=lut, moe_sel=sel)
+        logits = forward_lanes(params, current, ones, state, form=form, lut=lut, moe_sel=sel)
         if mole_lut:
             meter.add(step, lanes, lanes * lut_row_elements, 0, nbytes=lut.bytes_read - before)
         elif sel is not None:
             # row b of a step is lane b; the cache sees the layers in order,
             # so its random draws do not depend on how lanes are batched
-            loaded = sum(len(cache_update(cache_states[i], [set(r.tolist()) for r in layer_sel],
-                                          lanes))
+            loaded = sum(len(cache_update(cache_states[i], layer_sel.tolist(), lanes))
                          for i, layer_sel in enumerate(sel))
             meter.add(step, lanes, loaded * _expert_elements(cfg), loaded)
         else:
             meter.add(step, lanes, 0, 0)
-        current = [greedy_pick(row) for row in logits]
+        current = greedy_pick(logits)
     return DecodeResult(ids=ids, meter=meter)
 
 

@@ -245,27 +245,27 @@ def attention_forward(
     packed lanes of any lengths, or (B, T, d) for B lanes of T rows each.
     ``rotary`` is their (cos, sin) tables (``rotary_tables`` of the rows'
     positions, shaped like ``x`` without its last axis), which a model
-    forward builds once for all its layers. ``kv`` is the layer's key arena,
-    value arena (lanes, H, slots, d_head), ``slots`` a multiple of
-    ``KEY_BLOCK``, and the step's ``PackedStep`` (which lane owns each row,
-    where it goes, and which query/key tiles to score: the dense grid, or a
-    tile plan that skips key blocks wholly after a query chunk). One
-    fixed-split core writes the new keys and values and attends every lane
-    over its own prefix, with bits that do not depend on padding or on the
-    plan (``_attend_lanes``), so a lane gets the bits it gets alone, in
-    training, prefill, decode and verification alike. ``cache`` receives
-    what backprop needs.
+    forward builds once for all its layers; the queries and keys rotate in
+    one call, as 2H heads. ``kv`` is the layer's key arena (lanes, H,
+    blocks, d_head, KEY_BLOCK), stored as transposed key blocks, its value
+    arena (lanes, H, blocks * KEY_BLOCK, d_head) and the step's
+    ``PackedStep`` (which lane owns each row, where it goes, and which
+    query/key tiles to score: the dense grid, or a tile plan that skips key
+    blocks wholly after a query chunk). One fixed-split core writes the new
+    keys and values and attends every lane over its own prefix, with bits
+    that do not depend on padding or on the plan (``_attend_lanes``), so a
+    lane gets the bits it gets alone, in training, prefill, decode and
+    verification alike. ``cache`` receives what backprop needs.
     """
     cfg = layer.cfg
     b, t, d = x.shape
-    heads = (b, t, cfg.n_heads, cfg.d_head)
+    h = cfg.n_heads
     xn = rmsnorm(x, layer.norm_gain("input_norm"), RMS_EPS)
     qkv = matmul(xn, layer.attn_wqkv) + layer.attn_bqkv
-    q = apply_rotary(qkv[..., :d].reshape(heads), *rotary)
-    k_ = apply_rotary(qkv[..., d : 2 * d].reshape(heads), *rotary)
-    v = qkv[..., 2 * d :].reshape(heads)
+    qk = apply_rotary(qkv[..., : 2 * d].reshape(b, t, 2 * h, cfg.d_head), *rotary)
+    v = qkv[..., 2 * d :].reshape(b, t, h, cfg.d_head)
     scale = x.dtype.type(1.0 / np.sqrt(cfg.d_head))
-    merged = _attend_lanes(q, k_, v, *kv, scale, cache=cache)
+    merged = _attend_lanes(qk[..., :h, :], qk[..., h:, :], v, *kv, scale, cache=cache)
     attn_out = matmul(merged, layer.attn_wo) + layer.attn_bo
     out = x + attn_out
     if cache is not None:
@@ -279,10 +279,14 @@ def _attend_lanes(q, k_, v, keys, vals, step, scale, cache=None):
     over its own prefix in one fixed-split core; returns the context with
     heads merged, in the rows' layout: (1, R, d) or (B, T, d).
 
-    New queries are zero-padded per lane to the step's largest new count
-    (to whole ``KEY_BLOCK`` chunks under a tile plan), and the arenas are
-    read as blocks of ``KEY_BLOCK`` positions, as far as the longest lane
-    reaches. ``step`` says which (query rows, key block) tiles to score:
+    ``keys`` (lanes, H, blocks, d_head, KEY_BLOCK) holds each block of
+    ``KEY_BLOCK`` positions transposed, the row-major operand the scores
+    ``matmul`` reads, so neither plan copies a key; ``vals`` (lanes, H,
+    blocks * KEY_BLOCK, d_head) is read as blocks in place. New queries are
+    zero-padded per lane to the step's largest new count (to whole
+    ``KEY_BLOCK`` chunks under a tile plan), and the arenas are read as far
+    as the longest lane reaches. ``step`` says which (query rows, key block)
+    tiles to score:
     - the dense grid (``step.tiles`` is None; at most ``KEY_BLOCK`` new rows
       per lane, as in every decode step): every lane's padded queries
       against every block, one ``matmul`` over (lanes, H, blocks);
@@ -291,7 +295,8 @@ def _attend_lanes(q, k_, v, keys, vals, step, scale, cache=None):
       one holding the chunk's last position, stacked into one ``matmul``
       over (tiles, H).
     Scores are set to ``-inf`` past each query's position; their max over
-    the scored blocks is exact. Each block's denominator sums exactly
+    the scored blocks, folded block by block and then halved over the keys
+    (``_score_max``), is exact. Each block's denominator sums exactly
     ``KEY_BLOCK`` exponentials, ``e @ V`` is one more ``matmul``, and the
     block partials are added in ascending block order into accumulators
     that start at ``+0.0``, then divided once. ``cache`` receives the padded
@@ -308,24 +313,30 @@ def _attend_lanes(q, k_, v, keys, vals, step, scale, cache=None):
     sign on a trailing block, while one that starts at ``+0.0`` never holds
     ``-0.0``.
     """
-    lanes, h, slots, dh = keys.shape
-    if slots % KEY_BLOCK:
-        raise ShapeError(f"arena of {slots} slots is not a multiple of {KEY_BLOCK}")
-    keys[step.lane, :, step.pos] = k_.reshape(-1, h, dh)
+    lanes, h, held, dh, width = keys.shape
+    if width != KEY_BLOCK or vals.shape[2] != held * KEY_BLOCK:
+        raise ShapeError(f"arenas of {held} key blocks of {width} slots and {vals.shape[2]} "
+                         f"value slots do not hold whole blocks of {KEY_BLOCK} slots")
+    block, slot = np.divmod(step.pos, KEY_BLOCK)
+    keys[step.lane, :, block, :, slot] = k_.reshape(-1, h, dh)
     vals[step.lane, :, step.pos] = v.reshape(-1, h, dh)
     blocks, n, tiles = step.blocks, step.rows, step.tiles
-    split = (lanes, h, blocks, KEY_BLOCK, dh)
-    kb = keys[:, :, : blocks * KEY_BLOCK].reshape(split)
-    vb = vals[:, :, : blocks * KEY_BLOCK].reshape(split)
+    kb = keys[:, :, :blocks]
+    vb = vals[:, :, : blocks * KEY_BLOCK].reshape(lanes, h, blocks, KEY_BLOCK, dh)
     padded = n if tiles is None else tiles.chunks * KEY_BLOCK
     qp = np.zeros((lanes, h, padded, dh), dtype=q.dtype)
     qp[step.lane, :, step.row] = q.reshape(-1, h, dh)
     if tiles is not None:
         return _attend_tiles(qp, kb, vb, step, scale, cache, q.shape[:2] + (h * dh,))
-    e = matmul(qp[:, :, None], kb.swapaxes(-1, -2))  # scores (lanes, H, blocks, n, KEY_BLOCK)
+    e = matmul(qp[:, :, None], kb)  # scores (lanes, H, blocks, n, KEY_BLOCK)
+    if not e.flags.c_contiguous:
+        # fewer than TILE_ROWS rows come back as a view of the padded gemm
+        # tiles; the elementwise steps below and the next gemm's padding run
+        # several times faster over a packed copy
+        e = e.copy()
     e *= scale
     np.copyto(e, q.dtype.type(-np.inf), where=step.hidden)
-    e -= e.max(axis=(2, 4), keepdims=True)
+    e -= _score_max(e[:, :, blk] for blk in range(blocks))[:, :, None]
     np.exp(e, out=e)
     den_parts = e.sum(axis=-1, keepdims=True)
     ctx_parts = matmul(e, vb)
@@ -343,39 +354,30 @@ def _attend_lanes(q, k_, v, keys, vals, step, scale, cache=None):
 
 def _attend_tiles(qp, kb, vb, step, scale, cache, out_shape):
     """``_attend_lanes`` over the tiles of ``step.tiles``: ``qp`` (lanes, H,
-    chunks * KEY_BLOCK, d_head) are the padded queries, ``kb``/``vb`` (lanes,
-    H, blocks, KEY_BLOCK, d_head) the arenas as key blocks."""
+    chunks * KEY_BLOCK, d_head) are the padded queries, ``kb`` (lanes, H,
+    blocks, d_head, KEY_BLOCK) the transposed key blocks and ``vb`` (lanes,
+    H, blocks, KEY_BLOCK, d_head) the value blocks."""
     tiles = step.tiles
-    lanes, h, blocks, _, dh = kb.shape
+    lanes, h, blocks, dh, _ = kb.shape
     qc = qp.reshape(lanes, h, tiles.chunks, KEY_BLOCK, dh)
     e = matmul(qc[tiles.lane, :, tiles.chunk],
-               kb.swapaxes(-1, -2)[tiles.lane, :, tiles.block])  # (tiles, H, KEY_BLOCK, KEY_BLOCK)
+               kb[tiles.lane, :, tiles.block])  # (tiles, H, KEY_BLOCK, KEY_BLOCK)
     e *= scale
     np.copyto(e, qp.dtype.type(-np.inf), where=tiles.hidden)
     # Tiles run block-major, and block b's tiles belong to groups (lane,
     # chunk) 0 .. width[b] - 1, so every per-group reduction below runs over
-    # prefixes in ascending block order. The max (exact in any order) folds
-    # the blocks, then halves the keys: numpy's max over a 16-wide axis is
-    # several times slower than these elementwise maxima.
-    top = e[: tiles.width[0]].copy()
-    start = tiles.width[0]
-    for w in tiles.width[1:]:
-        np.maximum(top[:w], e[start : start + w], out=top[:w])
-        start += w
-    while top.shape[-1] > 1:
-        half = top.shape[-1] // 2
-        top = np.maximum(top[..., :half], top[..., half:])
+    # prefixes in ascending block order.
+    ends = np.cumsum(tiles.width).tolist()
+    top = _score_max(e[end - w : end] for end, w in zip(ends, tiles.width))
     e -= top[tiles.group]
     np.exp(e, out=e)
     den_parts = e.sum(axis=-1, keepdims=True)
     ctx_parts = matmul(e, vb[tiles.lane, :, tiles.block])
     den = np.zeros(top.shape, dtype=qp.dtype)
     ctx = np.zeros(top.shape[:-1] + (dh,), dtype=qp.dtype)
-    start = 0
-    for w in tiles.width:
-        den[:w] += den_parts[start : start + w]
-        ctx[:w] += ctx_parts[start : start + w]
-        start += w
+    for end, w in zip(ends, tiles.width):
+        den[:w] += den_parts[end - w : end]
+        ctx[:w] += ctx_parts[end - w : end]
     ctx /= den
     if cache is not None:
         e /= den[tiles.group]
@@ -384,6 +386,26 @@ def _attend_tiles(qp, kb, vb, step, scale, cache, out_shape):
             tiles.lane, :, tiles.chunk, :, tiles.block] = e
         cache.update(q=qp[:, :, : step.rows], probs=probs[:, :, : step.rows])
     return ctx[tiles.row_group, :, tiles.row_slot].reshape(out_shape)
+
+
+def _score_max(parts) -> np.ndarray:
+    """The max of attention scores over key blocks and keys. ``parts`` are
+    the score blocks (g_b, ..., KEY_BLOCK) block by block, whose rows are
+    groups 0 .. g_b - 1 (g_b never rising); returns each group's max (g_0,
+    ..., 1). The blocks fold elementwise, then the keys halve: numpy's max
+    over a 16-wide axis, or over blocks and keys at once, is several times
+    slower than these elementwise maxima, and the max is exact in any order
+    (only the sign of a zero max may differ, which no ``exp(s - max)``
+    sees)."""
+    parts = iter(parts)
+    top = next(parts).copy()
+    for part in parts:
+        w = len(part)
+        np.maximum(top[:w], part, out=top[:w])
+    while top.shape[-1] > 1:
+        half = top.shape[-1] // 2
+        top = np.maximum(top[..., :half], top[..., half:])
+    return top
 
 
 def ffn_forward(
@@ -645,12 +667,15 @@ def _forward(
 @dataclass
 class DecodeState:
     """The KV arenas of one decode or training forward (single owner): per
-    layer, every lane's keys ``k[i]`` and values ``v[i]`` (lanes, H, slots,
-    d_head), ``slots`` being ``capacity`` rounded up to whole
-    ``KEY_BLOCK``s; ``lengths[b]`` is lane b's cached length, the position
-    of its next token, and may not pass ``capacity``. The arenas are zero
-    where nothing was written, so a block past a lane's span adds exact
-    ``+0.0`` in the attention core (``_attend_lanes``)."""
+    layer, every lane's keys ``k[i]`` (lanes, H, blocks, d_head,
+    ``KEY_BLOCK``) as transposed key blocks, the operand layout of the
+    attention core's scores ``matmul`` (``key_rows`` gives the (lanes, H,
+    slots, d_head) view), and values ``v[i]`` (lanes, H, slots, d_head),
+    ``slots`` = blocks * ``KEY_BLOCK`` being ``capacity`` rounded up to
+    whole blocks; ``lengths[b]`` is lane b's cached length, the position of
+    its next token, and may not pass ``capacity``. The arenas are zero where
+    nothing was written, so a block past a lane's span adds exact ``+0.0``
+    in the attention core (``_attend_lanes``)."""
 
     k: list[np.ndarray]
     v: list[np.ndarray]
@@ -660,11 +685,20 @@ class DecodeState:
 
 def init_decode_state(params: ModelParams, lanes: int, capacity: int) -> DecodeState:
     cfg = params.cfg
-    slots = -(-capacity // KEY_BLOCK) * KEY_BLOCK
-    shape = (lanes, cfg.n_heads, slots, cfg.d_head)
-    return DecodeState(k=[np.zeros(shape, dtype=params.dtype) for _ in range(cfg.L)],
-                       v=[np.zeros(shape, dtype=params.dtype) for _ in range(cfg.L)],
+    blocks = -(-capacity // KEY_BLOCK)
+    k_shape = (lanes, cfg.n_heads, blocks, cfg.d_head, KEY_BLOCK)
+    v_shape = (lanes, cfg.n_heads, blocks * KEY_BLOCK, cfg.d_head)
+    return DecodeState(k=[np.zeros(k_shape, dtype=params.dtype) for _ in range(cfg.L)],
+                       v=[np.zeros(v_shape, dtype=params.dtype) for _ in range(cfg.L)],
                        lengths=np.zeros(lanes, dtype=np.int64), capacity=capacity)
+
+
+def key_rows(keys: np.ndarray) -> np.ndarray:
+    """A key arena (lanes, H, blocks, d_head, KEY_BLOCK) as one row per
+    position, (lanes, H, blocks * KEY_BLOCK, d_head): the layout backprop
+    multiplies by (a copy)."""
+    lanes, h, blocks, dh, width = keys.shape
+    return keys.swapaxes(-1, -2).reshape(lanes, h, blocks * width, dh)
 
 
 @dataclass(frozen=True)
@@ -764,24 +798,31 @@ def _plan_tiles(lengths, counts, lane, row, blocks) -> TilePlan:
 def forward_tokens(params: ModelParams, ids: list, state: DecodeState,
                    form: str = "train_form", lut=None,
                    collect_hidden: list | None = None) -> np.ndarray:
-    """Prefill: run every lane's prompt ``ids[b]`` through ``forward_lanes``
-    into a fresh ``state``; returns logits (R, vocab), lane by lane."""
-    return forward_lanes(params, ids, state, form=form, lut=lut,
+    """Prefill: pack every lane's tokens ``ids[b]`` (a prompt, or any
+    non-empty run of new tokens) lane by lane and run them through
+    ``forward_lanes``; returns logits (R, vocab), lane by lane."""
+    ids = [np.ravel(np.asarray(t)) for t in ids]
+    counts = np.array([t.size for t in ids], dtype=np.int64)
+    packed = np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
+    return forward_lanes(params, packed, counts, state, form=form, lut=lut,
                          collect_hidden=collect_hidden)
 
 
 def forward_lanes(
     params: ModelParams,
-    ids: list,
+    ids: np.ndarray,
+    counts: np.ndarray,
     state: DecodeState,
     form: str = "train_form",
     lut=None,
     moe_sel: list | None = None,
     collect_hidden: list | None = None,
 ) -> np.ndarray:
-    """One packed forward over the new tokens ``ids[b]`` of each lane b, at
-    positions ``state.lengths[b]`` onward and appended to its arena rows;
-    returns logits (R, vocab), lane by lane.
+    """One packed forward over ``counts[b]`` new tokens of each lane b, the
+    R = ``counts.sum()`` token ``ids`` packed lane by lane, at positions
+    ``state.lengths[b]`` onward and appended to its arena rows; returns
+    logits (R, vocab), lane by lane. A decode step passes one token per
+    lane, ``counts`` all ones, and builds no per-lane list.
 
     The R new rows form one (1, R, d) block, so every row-wise op (norms,
     projections, rotary, router, FFNs, LUT combine, top-k experts, head)
@@ -793,21 +834,24 @@ def forward_lanes(
     and ``collect_hidden`` (a list) each block's output (1, R, d), which
     equivalence localization compares.
     """
-    ids = [np.ravel(np.asarray(t)) for t in ids]
-    if len(ids) != len(state.lengths):
-        raise ShapeError(f"{len(ids)} lanes of tokens for a state of {len(state.lengths)} lanes")
-    lens = np.array([t.size for t in ids], dtype=np.int64)
-    if not lens.all():
-        raise ShapeError(f"lane {int(np.argmin(lens))} has no new tokens")
-    if np.any(state.lengths + lens > state.capacity):
+    ids, counts = np.asarray(ids), np.asarray(counts)
+    if len(counts) != len(state.lengths):
+        raise ShapeError(f"{len(counts)} lanes of tokens for a state of "
+                         f"{len(state.lengths)} lanes")
+    if not (counts > 0).all():
+        raise ShapeError(f"lane {int(np.argmax(counts <= 0))} has no new tokens")
+    if ids.shape != (counts.sum(),):
+        raise ShapeError(f"ids of shape {ids.shape} for {counts.sum()} packed new tokens")
+    if np.any(state.lengths + counts > state.capacity):
         raise ShapeError("decode state capacity exceeded")
-    step = pack_lanes(state.lengths, lens)
-    logits = _forward(params, np.concatenate(ids)[None, :], form, lut, state, step,
+    step = pack_lanes(state.lengths, counts)
+    logits = _forward(params, ids[None, :], form, lut, state, step,
                       collect_hidden=collect_hidden, moe_sel=moe_sel)
-    state.lengths += lens
+    state.lengths += counts
     return logits[0]
 
 
-def greedy_pick(logits_row: np.ndarray) -> int:
-    """Argmax with ties broken toward the lower token id."""
-    return int(np.argmax(logits_row))
+def greedy_pick(logits: np.ndarray) -> np.ndarray:
+    """The argmax of every row of ``logits`` (..., vocab) in one call, ties
+    broken toward the lower token id."""
+    return np.argmax(logits, axis=-1)

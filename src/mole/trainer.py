@@ -37,6 +37,7 @@ from .model import (
     RMS_EPS,
     LayerView,
     ModelParams,
+    key_rows,
     merge_heads,
     model_forward,
     split_heads,
@@ -139,15 +140,17 @@ def _attention_backward(
 
     ``lc`` is what ``attention_forward`` cached for B lanes of T rows in a
     fresh ``DecodeState``: the queries (B, H, T, d_head), the key and value
-    arenas and the probabilities over their slots. Slots past T hold zero
-    keys and values at zero probability, so the backward reads the first T.
+    arenas and the probabilities over their slots. The backward reads the
+    keys one per position (``key_rows``). Slots past T hold zero keys and
+    values at zero probability, so the backward reads the first T. The
+    query and key gradients rotate back in one call, as 2H heads.
     """
     cfg = layer.cfg
     p = f"layers.{layer.index}"
     x_in, xn = lc["x_in"], lc["xn"]
     q, merged = lc["q"], lc["merged"]
-    t = q.shape[2]
-    keys, vals, probs = lc["keys"][:, :, :t], lc["vals"][:, :, :t], lc["probs"][..., :t]
+    b, h, t, _ = q.shape
+    keys, vals, probs = key_rows(lc["keys"])[:, :, :t], lc["vals"][:, :, :t], lc["probs"][..., :t]
     cos, sin = lc["rotary"]
     dtype = dx_out.dtype
 
@@ -159,16 +162,13 @@ def _attention_backward(
     dprobs = matmul(dctx, vals.transpose(0, 1, 3, 2))
     dvals = matmul(probs.transpose(0, 1, 3, 2), dctx)
     dscores = _softmax_backward(probs, dprobs) * dtype.type(1.0 / np.sqrt(cfg.d_head))
-    dq = matmul(dscores, keys)
-    dkeys = matmul(dscores.transpose(0, 1, 3, 2), q)
+    dqk = np.concatenate([matmul(dscores, keys),
+                          matmul(dscores.transpose(0, 1, 3, 2), q)], axis=1)  # (B, 2H, T, d_head)
 
     # undo the rotation (orthogonal, so the inverse rotation is the transpose)
-    dq = apply_rotary(dq.transpose(0, 2, 1, 3), cos, -sin).transpose(0, 2, 1, 3)
-    dkeys = apply_rotary(dkeys.transpose(0, 2, 1, 3), cos, -sin).transpose(0, 2, 1, 3)
-
-    dqkv = np.concatenate(
-        [merge_heads(dq), merge_heads(dkeys), merge_heads(dvals)], axis=-1
-    )
+    dqk = apply_rotary(dqk.transpose(0, 2, 1, 3), cos, -sin)  # (B, T, 2H, d_head)
+    dqkv = np.concatenate([dqk.reshape(b, t, 2 * h * dqk.shape[-1]), merge_heads(dvals)],
+                          axis=-1)
     dxn = matmul(dqkv, layer.attn_wqkv.T)
     grads[p + ".attn.wqkv"] += matmul(_flat(xn).T, _flat(dqkv))
     grads[p + ".attn.bqkv"] += np.sum(_flat(dqkv), axis=0, dtype=dtype)

@@ -18,7 +18,7 @@ from mole.engine import (
 )
 from mole.kernels import ShapeError
 from mole.lut_store import open_lut, write_lut
-from mole.model import model_forward
+from mole.model import key_rows, model_forward
 from mole.reparam import reparameterize
 
 
@@ -245,18 +245,40 @@ class TestGreedyDecode:
         assert all(r.bytes == want for r in res.meter.decode_records())
 
 
+class TestGreedyPick:
+    def test_one_argmax_per_row_ties_to_lower_id(self):
+        """One call picks every row; a tied row picks its lowest id, as a
+        per-row argmax does."""
+        rng = np.random.default_rng(12)
+        logits = rng.standard_normal((9, 50)).astype(np.float32)
+        logits[1, [3, 17, 40]] = 9.0  # a three-way tie
+        logits[2, [0, 49]] = 9.0  # a tie at both ends
+        logits[4] = 0.0  # every id tied
+        logits[5, [20, 21]] = np.inf
+        got = engine.greedy_pick(logits)
+        assert got.shape == (9,)
+        assert got.tolist() == [int(np.argmax(row)) for row in logits]
+        assert got[[1, 2, 4, 5]].tolist() == [3, 0, 0, 20]
+        assert int(engine.greedy_pick(logits[1])) == 3
+
+
 def recorded_decode(params, prompts, steps, runtime, lut=None, seed=0):
     """greedy_decode, also returning every logits row it picked from (per
     lane, prefill row first), each lane's written KV arena bytes and length
-    per layer, and the activated expert sets handed to the moe-offload cache
-    (per step, layer, lane). Checks that the rest of each lane's arena rows
-    is still zero."""
+    per layer (keys read one row per position, ``key_rows``), and the
+    activated expert sets handed to the moe-offload cache (per step, layer,
+    lane). Checks that the rest of each lane's arena rows is still zero, and
+    that each pick takes every lane's row at once and equals a per-row
+    argmax."""
     picked, states, activated = [], [], []
     pick, init, update = engine.greedy_pick, engine.init_decode_state, engine.cache_update
 
-    def record_pick(row):
-        picked.append(row.tobytes())
-        return pick(row)
+    def record_pick(rows):
+        assert rows.shape == (len(prompts), params.cfg.vocab)
+        picked.extend(row.tobytes() for row in rows)
+        got = pick(rows)
+        assert got.tolist() == [int(np.argmax(row)) for row in rows]
+        return got
 
     def record_init(p, lanes, capacity):
         states.append(init(p, lanes, capacity))
@@ -275,10 +297,11 @@ def recorded_decode(params, prompts, steps, runtime, lut=None, seed=0):
     logits = [picked[b::lanes] for b in range(lanes)]
     (state,) = states
     kv = []
+    keys = [key_rows(k) for k in state.k]
     for b, n in enumerate(state.lengths.tolist()):
-        assert not any(arena[b, :, n:].any() for arena in state.k + state.v)
+        assert not any(arena[b, :, n:].any() for arena in keys + state.v)
         kv.append([(k[b, :, :n].tobytes(), v[b, :, :n].tobytes(), n)
-                   for k, v in zip(state.k, state.v)])
+                   for k, v in zip(keys, state.v)])
     layers = params.cfg.L
     routing = [activated[s * layers:(s + 1) * layers] for s in range(steps)]
     return res, logits, kv, routing

@@ -314,6 +314,32 @@ class TestRmsnorm:
             fd = np.dot(dy, (rmsnorm(x, gp) - rmsnorm(x, gm))) / (2 * h)
             assert abs(dg[i] - fd) < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [1, 16, 64, 100])
+    def test_bits_equal_np_mean_form(self, dtype, d):
+        """The sum-then-divide mean square gives the bytes of ``np.mean``, in
+        the forward and the backward."""
+        rng = np.random.default_rng(d)
+        scale = np.exp(rng.uniform(-8, 8, (3, 37, 1)))  # rows of very different sizes
+        x = (rng.standard_normal((3, 37, d)) * scale).astype(dtype)
+        g, dy = rng.standard_normal(d).astype(dtype), rng.standard_normal(x.shape).astype(dtype)
+        eps = 1e-5
+
+        ms = np.mean(np.square(x), axis=-1, keepdims=True, dtype=x.dtype)
+        inv = 1.0 / np.sqrt(ms + x.dtype.type(eps))
+        want = (x * inv * g).astype(x.dtype)
+        gdy = dy * g
+        dot = np.sum(gdy * x, axis=-1, keepdims=True, dtype=x.dtype)
+        want_dx = (gdy * inv - x * dot * (inv**3) / x.dtype.type(d)).astype(x.dtype)
+        want_dg = np.sum(dy * x * inv, axis=(0, 1), dtype=x.dtype).astype(x.dtype)
+
+        got = rmsnorm(x, g, eps)
+        dx, dg = rmsnorm_backward(x, g, dy, eps)
+        assert got.dtype == dx.dtype == dg.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        assert dx.tobytes() == want_dx.tobytes()
+        assert dg.tobytes() == want_dg.tobytes()
+
 
 class TestGelu:
     def test_zero(self):
@@ -483,6 +509,21 @@ class TestRotary:
         pos = np.arange(4)
         back = rotate(rotate(x, pos, 0.5), pos, 0.5, inverse=True)
         assert np.max(np.abs(back - x)) < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fraction", [0.25, 1.0])
+    def test_one_call_over_stacked_heads_equals_two_calls(self, dtype, fraction):
+        """Queries and keys rotate as 2H heads in one call, with the bytes of
+        one call each, forward and inverse."""
+        rng = np.random.default_rng(9)
+        h = 4
+        qk = rng.standard_normal((2, 7, 2 * h, 16)).astype(dtype)
+        pos = rng.integers(0, 100, (2, 7))
+        for inverse in (False, True):
+            both = rotate(qk, pos, fraction, inverse)
+            apart = [rotate(qk[..., :h, :], pos, fraction, inverse),
+                     rotate(qk[..., h:, :], pos, fraction, inverse)]
+            assert both.tobytes() == np.concatenate(apart, axis=2).tobytes()
 
     def test_odd_span_rejected(self):
         with pytest.raises(ShapeError):

@@ -19,6 +19,7 @@ from mole.model import (
     forward_tokens,
     greedy_pick,
     init_decode_state,
+    key_rows,
     model_forward,
     moe_layer_forward,
     mole_expert_rows,
@@ -385,7 +386,8 @@ class TestModelForward:
             full = model_forward(p, ids)
             assert full.tobytes() == lane_logits(p, ids).tobytes(), p.cfg.variant
             state = init_decode_state(p, len(ids), ids.shape[1])
-            rows = [forward_lanes(p, [[tok] for tok in col], state) for col in ids.T]
+            ones = np.ones(len(ids), dtype=np.int64)
+            rows = [forward_lanes(p, col, ones, state) for col in ids.T]
             stepped = np.stack(rows, axis=1)
             assert stepped.tobytes() == full.tobytes(), p.cfg.variant
 
@@ -393,10 +395,16 @@ class TestModelForward:
         p = tiny_dense()
         state = init_decode_state(p, 2, 4)
         with pytest.raises(ShapeError, match="3 lanes of tokens for a state of 2"):
-            forward_lanes(p, [[1], [2], [3]], state)
-        forward_lanes(p, [[1, 2, 3], [4]], state)
+            forward_lanes(p, np.array([1, 2, 3]), np.array([1, 1, 1]), state)
+        with pytest.raises(ShapeError, match="3 lanes of tokens for a state of 2"):
+            forward_tokens(p, [[1], [2], [3]], state)
+        with pytest.raises(ShapeError, match=r"ids of shape \(3,\) for 4 packed new tokens"):
+            forward_lanes(p, np.array([1, 2, 3]), np.array([3, 1]), state)
+        forward_lanes(p, np.array([1, 2, 3, 4]), np.array([3, 1]), state)
         with pytest.raises(ShapeError, match="capacity"):
-            forward_lanes(p, [[5, 6], [7]], state)  # lane 0 would need 5 rows
+            forward_lanes(p, np.array([5, 6, 7]), np.array([2, 1]), state)  # lane 0: 5 rows
+        with pytest.raises(ShapeError, match="capacity"):
+            forward_tokens(p, [[5, 6], [7]], state)
         assert state.lengths.tolist() == [3, 1]  # a rejected step moves nothing
 
     def test_forward_lanes_rejects_lane_without_tokens(self):
@@ -404,7 +412,12 @@ class TestModelForward:
         state = init_decode_state(p, 3, 4)
         for ids, lane in (([[], [4], [5]], 0), ([[1], [2], np.array([], np.int64)], 2)):
             with pytest.raises(ShapeError, match=f"lane {lane} has no new tokens"):
-                forward_lanes(p, ids, state)
+                forward_tokens(p, ids, state)
+            counts = np.array([len(t) for t in ids])
+            with pytest.raises(ShapeError, match=f"lane {lane} has no new tokens"):
+                forward_lanes(p, np.array([4, 5]), counts, state)
+        with pytest.raises(ShapeError, match="lane 1 has no new tokens"):
+            forward_lanes(p, np.array([4, 5]), np.array([2, -1, 1]), state)
         assert state.lengths.tolist() == [0, 0, 0]
 
     @pytest.mark.parametrize("kernel", [kernels.TILED, kernels.SEQUENTIAL])
@@ -416,21 +429,24 @@ class TestModelForward:
         rng = np.random.default_rng(7)
         prompts = [rng.integers(0, p.cfg.vocab, size=n) for n in (20, 3, 37)]
         lone, packed = init_decode_state(p, 1, 8), init_decode_state(p, 3, 44)
-        assert (lone.k[0].shape[2], packed.k[0].shape[2]) == (KEY_BLOCK, 3 * KEY_BLOCK)
+        assert (lone.v[0].shape[2], packed.v[0].shape[2]) == (KEY_BLOCK, 3 * KEY_BLOCK)
+        assert (lone.k[0].shape[2:], packed.k[0].shape[2:]) == (
+            (1, p.cfg.d_head, KEY_BLOCK), (3, p.cfg.d_head, KEY_BLOCK))
         lone_ids, packed_ids = [prompts[1]], prompts
         for i in range(4):
-            alone = forward_lanes(p, lone_ids, lone)
-            together = forward_lanes(p, packed_ids, packed)
+            alone = forward_tokens(p, lone_ids, lone)
+            together = forward_tokens(p, packed_ids, packed)
             ends = np.cumsum([len(t) for t in packed_ids])
             assert together[ends[0]:ends[1]].tobytes() == alone.tobytes()
             if i == 0:  # the multi-block arena against the training-form forward
                 full = model_forward(p, prompts[2])[0]
                 assert together[ends[1]:].tobytes() == full.tobytes()
             lone_ids = [[greedy_pick(alone[-1])]]
-            packed_ids = [[greedy_pick(together[e - 1])] for e in ends]
+            packed_ids = [[tok] for tok in greedy_pick(together[ends - 1])]
             assert packed_ids[1] == lone_ids[0]
         n = int(lone.lengths[0])
-        for big, small in zip(packed.k + packed.v, lone.k + lone.v):
+        arenas = lambda state: [key_rows(k) for k in state.k] + state.v  # noqa: E731
+        for big, small in zip(arenas(packed), arenas(lone)):
             assert big[1, :, :n].tobytes() == small[0, :, :n].tobytes()
             assert not big[1, :, n:].any()
 
@@ -439,13 +455,14 @@ class TestModelForward:
         # gets the bits of its lone run.
         seqs = [rng.integers(0, p.cfg.vocab, size=n) for n in (30, 33)]
         pair, first = init_decode_state(p, 2, 48), init_decode_state(p, 1, 48)
-        forward_lanes(p, [seqs[0][:10]], first)
+        forward_tokens(p, [seqs[0][:10]], first)
         for big, small in zip(pair.k + pair.v, first.k + first.v):
             big[0] = small[0]
         pair.lengths[0] = 10
         assert pack_lanes(pair.lengths, np.array([20, 33])).tiles is not None
-        together = forward_lanes(p, [seqs[0][10:], seqs[1]], pair)
-        alone = [forward_lanes(p, [seqs[0][10:]], first), model_forward(p, seqs[1])[0]]
+        together = forward_lanes(p, np.concatenate([seqs[0][10:], seqs[1]]), np.array([20, 33]),
+                                 pair)
+        alone = [forward_tokens(p, [seqs[0][10:]], first), model_forward(p, seqs[1])[0]]
         assert together[:20].tobytes() == alone[0].tobytes()
         assert together[:20].tobytes() == model_forward(p, seqs[0])[0, 10:].tobytes()
         assert together[20:].tobytes() == alone[1].tobytes()
@@ -454,18 +471,29 @@ class TestModelForward:
                                                  ([3, 0, 17, 30], [1, 5, 1, 2]),
                                                  ([0, 5, 2], [20, 3, 30])])
     def test_decode_core_is_two_matmul_calls(self, monkeypatch, lengths, counts):
+        """Both plans make two ``matmul`` calls, on operands already row-major:
+        the transposed key blocks are read in place, so no operand is copied."""
         calls = []
         real = model.matmul
-        monkeypatch.setattr(model, "matmul", lambda a, b: calls.append(1) or real(a, b))
+
+        def spy(a, b):
+            calls.append(kernels._row_major(a) is a and kernels._row_major(b) is b)
+            return real(a, b)
+
+        monkeypatch.setattr(model, "matmul", spy)
         rng = np.random.default_rng(3)
         h, dh, rows = 4, 8, sum(counts)
         q, k, v = (rng.standard_normal((1, rows, h, dh)).astype(np.float32) for _ in range(3))
-        keys = np.zeros((len(lengths), h, 3 * KEY_BLOCK, dh), np.float32)
-        vals = np.zeros_like(keys)
+        keys = np.zeros((len(lengths), h, 3, dh, KEY_BLOCK), np.float32)
+        vals = np.zeros((len(lengths), h, 3 * KEY_BLOCK, dh), np.float32)
         step = pack_lanes(np.array(lengths), np.array(counts))
         ctx = model._attend_lanes(q, k, v, keys, vals, step, np.float32(dh ** -0.5))
         assert ctx.shape == (1, rows, h * dh) and np.isfinite(ctx).all()
         assert len(calls) == 2
+        assert all(calls)
+        # every new key landed at its position, read back one row per position
+        written = key_rows(keys)[step.lane, :, step.pos]
+        assert written.tobytes() == k.reshape(-1, h, dh).tobytes()
 
     def test_pack_lanes_scores_only_visible_key_blocks(self):
         """Past ``KEY_BLOCK`` new rows in some lane, a step lists each (lane,
@@ -495,12 +523,50 @@ class TestModelForward:
             assert step.tiles is None
             assert step.hidden.shape == (len(counts), 1, step.blocks, max(counts), KEY_BLOCK)
 
+    @pytest.mark.parametrize("n", [1, 5, 16])
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_score_max_has_the_bytes_of_numpy_max(self, n, blocks):
+        """The dense grid's fold-and-halve max equals ``e.max(axis=(2, 4))``
+        byte for byte on ``-inf``-masked scores, both on the leading rows of
+        padded gemm tiles (a strided view, as ``matmul`` returns them) and on
+        the packed copy the core reads."""
+        rng = np.random.default_rng(10 * n + blocks)
+        last = blocks * KEY_BLOCK - n
+        lengths = np.array([0, last, last // 2, max(last - KEY_BLOCK, 0)])
+        step = pack_lanes(lengths, np.full(len(lengths), n))
+        assert step.tiles is None and step.blocks == blocks
+        tiles = rng.standard_normal((len(lengths), 4, blocks, KEY_BLOCK, KEY_BLOCK))
+        view = tiles.astype(np.float32)[..., :n, :]
+        np.copyto(view, np.float32(-np.inf), where=step.hidden)
+        for e in (view, view.copy()):
+            got = model._score_max(e[:, :, blk] for blk in range(blocks))
+            want = e.max(axis=(2, 4), keepdims=True)[:, :, 0]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_score_max_folds_prefix_groups(self):
+        """Under a tile plan block b scores groups 0 .. width[b] - 1: each
+        group's max covers exactly the blocks it has, as ``np.max`` does."""
+        rng = np.random.default_rng(11)
+        widths = (5, 5, 3, 1)
+        parts = [rng.standard_normal((w, 4, KEY_BLOCK, KEY_BLOCK)).astype(np.float32)
+                 for w in widths]
+        parts[2][0, :, 3, 7:] = -np.inf
+        got = model._score_max(parts)
+        for g in range(widths[0]):
+            seen = np.stack([part[g] for part in parts if g < len(part)])
+            assert got[g].tobytes() == seen.max(axis=(0, 3), keepdims=True)[0].tobytes()
+
     def test_attention_arena_must_hold_whole_key_blocks(self):
         p = tiny_dense()
-        state = init_decode_state(p, 1, 1)
-        state.k[0] = np.zeros((1, p.cfg.n_heads, 7, p.cfg.d_head), np.float32)
+        h, dh = p.cfg.n_heads, p.cfg.d_head
         x = np.zeros((1, 1, p.cfg.d), np.float32)
-        with pytest.raises(ShapeError, match="multiple of 16"):
+        state = init_decode_state(p, 1, 1)
+        state.k[0] = np.zeros((1, h, 1, dh, 7), np.float32)  # key blocks of 7 slots
+        with pytest.raises(ShapeError, match="1 key blocks of 7 slots .* whole blocks of 16"):
+            attend(p, x, state)
+        state = init_decode_state(p, 1, 1)
+        state.v[0] = np.zeros((1, h, 7, dh), np.float32)  # 7 value slots for one key block
+        with pytest.raises(ShapeError, match="7 value slots .* whole blocks of 16"):
             attend(p, x, state)
 
     def test_mole_lut_form_requires_handle(self):
@@ -579,5 +645,5 @@ class TestRotaryTablesOncePerForward:
         p = tiny_mole(L=3)
         model_forward(p, np.array([[1, 2, 3], [4, 5, 6]]))
         assert len(calls) == 1
-        forward_lanes(p, [[1, 2], [3]], init_decode_state(p, 2, 4))
+        forward_lanes(p, np.array([1, 2, 3]), np.array([2, 1]), init_decode_state(p, 2, 4))
         assert len(calls) == 2

@@ -1,0 +1,26 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bit_digest_prints_the_same_lines_twice():
+    """Two runs of tools/bit_digest.py print the same complete list of
+    digests under both kernels."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, str(ROOT / "tools" / "bit_digest.py")]
+    runs = [subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True) for _ in range(2)]
+    outs = [run.communicate(timeout=300) for run in runs]
+    for run, (_, err) in zip(runs, outs):
+        assert run.returncode == 0, err
+    first, second = (out.splitlines() for out, _ in outs)
+    assert first == second
+    # per kernel: 3 models x (logits, grads), Adam's params, m and v, 4 verify
+    # reports, 3 runtimes x (stream, meter) and 2 decode logits digests
+    assert len(first) == 2 * (6 + 3 + 4 + 6 + 2)
+    for line in first:
+        assert re.fullmatch(r"(tiled-blas|sequential) [\w.-]+ [0-9a-f]{64}", line), line

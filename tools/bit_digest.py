@@ -1,0 +1,150 @@
+"""Print a sha256 of every bit-level artifact of the model, under both matmul kernels.
+
+    PYTHONPATH=src python tools/bit_digest.py
+
+A change that claims to keep every bit prints the same lines before and
+after. Each line is ``<kernel> <artifact> <sha256>``. The artifacts are all
+float32, from seeded weights of the toy configs in ``configs/``:
+
+- ``train``: the logits and, as one digest, every gradient of toy-mole,
+  toy-moe and toy-dense on one batch of 8 x 48 (``trainer.backward``);
+- ``adam``: toy-mole's params and Adam ``m`` and ``v`` after 10 steps of
+  ``backward``, ``clip_gradients`` and ``adam_step``;
+- ``verify``: the ``verify_equivalence`` report of fp32, fp16, nf4 and nf3
+  tables (block 16 when quantized) on 16 prompts of lengths 1..64;
+- ``decode``: the token stream and meter of a 32-lane ``greedy_decode``
+  (prompt lengths 4..16, 4 steps) on the ``mole-lut`` (fp32 table),
+  ``mole-train`` and ``moe-offload`` runtimes, and for the two mole
+  runtimes every logits row such a decode picks from (prefill and steps,
+  through ``model.forward_tokens``), which a stream seldom shows.
+
+Every group runs under ``kernels.TILED`` and then ``kernels.SEQUENTIAL``,
+forced whatever the local BLAS probe would pick: 2 x 21 lines. A run takes
+about 7 s on a 2-core host.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from mole import config, engine, kernels, lut_store, model, reparam, trainer
+from mole.cli import VERIFY_TOLERANCES
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 20
+
+
+def sha(*parts) -> str:
+    """sha256 over arrays (dtype, shape and bytes) and strings, in order."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(f"{part.dtype}{part.shape}".encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(str(part).encode())
+    return h.hexdigest()
+
+
+def toy(name: str, seed: int):
+    """Seeded float32 params, train config and corpus of configs/toy-<name>.json."""
+    mcfg, tcfg, ccfg = config.load_config(ROOT / "configs" / f"toy-{name}.json")
+    corpus = trainer.synthetic_corpus(ccfg.length, ccfg.pattern_period, ccfg.seed,
+                                      vocab=mcfg.vocab)
+    return model.init_params(mcfg, seed), tcfg, corpus
+
+
+def tensors(named: dict[str, np.ndarray]) -> str:
+    return sha(*(part for name in sorted(named) for part in (name, named[name])))
+
+
+def train_digests():
+    for name in ("mole", "moe", "dense"):
+        params, tcfg, corpus = toy(name, SEED)
+        batch = trainer.sample_batch(corpus, np.random.default_rng(SEED), 8, 48)
+        yield f"toy-{name}.logits", sha(model.model_forward(params, batch[0]))
+        metrics, grads = trainer.backward(params, batch, tcfg)
+        yield f"toy-{name}.grads", sha(repr(sorted(metrics.items())), tensors(grads))
+
+
+def adam_digests():
+    params, tcfg, corpus = toy("mole", SEED)
+    rng = np.random.default_rng(SEED)
+    state = trainer.AdamState.init(params)
+    for step in range(10):
+        _, grads = trainer.backward(params, trainer.sample_batch(corpus, rng, 8, 48), tcfg)
+        trainer.clip_gradients(grads, tcfg.grad_clip)
+        trainer.adam_step(params, grads, state, trainer.lr_at(step + 1, tcfg), tcfg)
+    yield "toy-mole.adam10.params", tensors(params.tensors)
+    yield "toy-mole.adam10.m", tensors(state.m)
+    yield "toy-mole.adam10.v", tensors(state.v)
+
+
+def verify_digests(workdir: Path):
+    params, _, _ = toy("mole", SEED)
+    infer, tables = reparam.reparameterize(params)
+    rng = np.random.default_rng(SEED)
+    prompts = [rng.integers(0, params.cfg.vocab, size=n)
+               for n in np.linspace(1, 64, 16).round().astype(int)]
+    for dtype, tolerance in VERIFY_TOLERANCES.items():
+        path = workdir / f"{dtype}.lut"
+        lut_store.write_lut(tables, path, dtype=dtype,
+                            block_size=16 if dtype in lut_store.QUANT_BITS else 0)
+        with lut_store.open_lut(path) as lut:
+            report = reparam.verify_equivalence(params, infer, lut, prompts, tolerance)
+        yield f"verify.{dtype}", sha(repr(dataclasses.asdict(report)))
+
+
+def step_logits(params, prompts, steps, form, lut=None) -> str:
+    """Digest of the logits of a packed prefill of ``prompts`` and of
+    ``steps`` greedy one-token steps of every lane."""
+    state = model.init_decode_state(params, len(prompts), max(map(len, prompts)) + steps)
+    logits = [model.forward_tokens(params, prompts, state, form=form, lut=lut)]
+    current = logits[0][np.cumsum(list(map(len, prompts))) - 1].argmax(axis=-1)
+    for _ in range(steps):
+        logits.append(model.forward_tokens(params, [[t] for t in current], state,
+                                           form=form, lut=lut))
+        current = logits[-1].argmax(axis=-1)
+    return sha(*logits)
+
+
+def decode_digests(workdir: Path):
+    rng = np.random.default_rng(SEED)
+    mole_params, _, _ = toy("mole", SEED)
+    moe_params, _, _ = toy("moe", SEED)
+    lengths = np.resize(np.arange(4, 17), 32)
+    prompts = [rng.integers(0, 256, size=n) for n in lengths]
+    infer, tables = reparam.reparameterize(mole_params)
+    lut_store.write_lut(tables, workdir / "decode.lut", dtype="fp32")
+    with lut_store.open_lut(workdir / "decode.lut") as lut:
+        runs = [("mole-lut", engine.greedy_decode(infer, prompts, 4, "mole-lut", lut=lut))]
+        yield "decode.mole-lut.logits", step_logits(infer, prompts, 4, "lut_form", lut)
+    yield "decode.mole-train.logits", step_logits(mole_params, prompts, 4, "train_form")
+    runs.append(("mole-train", engine.greedy_decode(mole_params, prompts, 4, "mole-train")))
+    runs.append(("moe-offload", engine.greedy_decode(moe_params, prompts, 4, "moe-offload",
+                                                     seed=SEED)))
+    for runtime, result in runs:
+        yield f"decode.{runtime}.stream", sha(np.asarray(result.tokens))
+        yield f"decode.{runtime}.meter", sha(repr([dataclasses.astuple(r)
+                                                  for r in result.meter.records]))
+
+
+def main() -> None:
+    for kernel in (kernels.TILED, kernels.SEQUENTIAL):
+        kernels._backends.clear()
+        kernels._backends[np.dtype(np.float32)] = kernel
+        with tempfile.TemporaryDirectory() as tmp:
+            for group in (train_digests(), adam_digests(), verify_digests(Path(tmp)),
+                          decode_digests(Path(tmp))):
+                for artifact, digest in group:
+                    print(f"{kernel} {artifact} {digest}", flush=True)
+    kernels._backends.clear()
+
+
+if __name__ == "__main__":
+    main()
