@@ -14,6 +14,14 @@ against the local BLAS; if any row differs, ``matmul`` warns once and runs
 ``matmul_sequential``, a fixed k-ascending loop, instead. ``backend`` says
 which of the two ran, and the CLI manifests record it.
 
+A partial tile is zero-padded. Against a 2-D right operand (every
+projection, FFN, router and head) the left operand's leading axes fold into
+rows, and its partial tile is padded in a scratch tile kept per thread,
+dtype and K, whose pad rows are re-zeroed after a taller call; a batched
+left operand (the attention core's gemms) is padded in a fresh zero tile,
+so the kept tiles stay a few KiB. Results are fresh arrays: none aliases a
+scratch tile or changes with a later call.
+
 ``gelu`` and ``gelu_grad`` take the Gaussian CDF from ``_erf``. For float32
 that is a rational in t^2 (``tools/fit_erf.py``), evaluated with IEEE
 ``+ * /`` and ``minimum``/``maximum`` only, elementwise: a row's bits do not
@@ -28,6 +36,7 @@ bits, and a process that only touches float32 never loads
 
 from __future__ import annotations
 
+import mmap
 import threading
 import warnings
 
@@ -92,6 +101,11 @@ def _check_operands(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"inner extents disagree: {a.shape} @ {b.shape}")
+    return _lead_shape(a, b)
+
+
+def _lead_shape(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
+    """The broadcast leading shape of two matmul operands."""
     lead_a, lead_b = a.shape[:-2], b.shape[:-2]
     if lead_a == lead_b or not lead_b:
         return lead_a
@@ -109,11 +123,25 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The order of that reduction is BLAS's, not k-ascending. Where the probe
     run by ``backend`` finds the local BLAS breaks this, the result is
     ``matmul_sequential``'s instead.
+
+    With a 2-D ``b``, ``a``'s leading axes fold into rows, which moves no
+    row's bits. A 2-D left operand pads its partial tile in this thread's
+    scratch tile of its dtype and K, pad rows zero; a batched one in a fresh
+    zero tile. The result is a fresh array, never the scratch tile.
     """
-    lead = _check_operands(a, b)
-    if backend(a.dtype) == SEQUENTIAL:
+    dtype = a.dtype
+    # ``_check_operands``' tests in one expression, inline: a one-row call
+    # costs little more than its gemm; a failing call gets its message there
+    if (b.dtype != dtype or dtype not in FLOAT_DTYPES or a.ndim < 2 or b.ndim < 2
+            or a.shape[-1] != b.shape[-2]):
+        _check_operands(a, b)
+    if (_backends.get(dtype) or backend(dtype)) == SEQUENTIAL:
         return matmul_sequential(a, b)
-    return _matmul_tiled(a, b, lead)
+    if b.ndim > 2:
+        return _matmul_tiled(a, b, _lead_shape(a, b))
+    if a.ndim == 2:
+        return _matmul_tiled(a, b, ())
+    return _matmul_tiled(a.reshape(-1, a.shape[-1]), b, ()).reshape(a.shape[:-1] + b.shape[1:])
 
 
 def matmul_sequential(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -136,25 +164,55 @@ def matmul_sequential(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _row_major(x: np.ndarray) -> np.ndarray:
     """``x`` if each of its matrices is packed row-major, else such a copy:
-    BLAS rounds transposed or strided operands differently."""
-    if x.strides[-1] == x.itemsize and x.strides[-2] == x.shape[-1] * x.itemsize:
+    BLAS rounds transposed or strided operands differently. A C-contiguous
+    ``x``, which ``ascontiguousarray`` would return as it is, is tested by
+    its flag first, the cheaper test."""
+    if x.flags.c_contiguous or (x.strides[-1] == x.itemsize
+                                and x.strides[-2] == x.shape[-1] * x.itemsize):
         return x
     return np.ascontiguousarray(x)
 
 
-def _pad_tile(a: np.ndarray, rows: int) -> np.ndarray:
-    """``a``'s last ``rows`` rows, zero-padded below to one ``TILE_ROWS`` tile."""
-    pad = np.zeros(a.shape[:-2] + (TILE_ROWS, a.shape[-1]), dtype=a.dtype)
-    pad[..., :rows, :] = a[..., a.shape[-2] - rows:, :]
+_scratch = threading.local()
+
+
+def _pad_tile(rows: np.ndarray) -> np.ndarray:
+    """``rows`` (fewer than ``TILE_ROWS``), zero-padded below to one
+    ``TILE_ROWS`` tile: for 2-D ``rows``, this thread's scratch tile of their
+    dtype and K, whose rows below them are re-zeroed where an earlier call
+    wrote them; for batched ``rows``, a fresh zero tile."""
+    m, k = rows.shape[-2:]
+    if rows.ndim > 2:
+        pad = np.zeros(rows.shape[:-2] + (TILE_ROWS, k), dtype=rows.dtype)
+        pad[..., :m, :] = rows
+        return pad
+    tiles = getattr(_scratch, "tiles", None)
+    if tiles is None:
+        tiles = _scratch.tiles = {}
+    entry = tiles.get((k, rows.dtype))
+    if entry is None:
+        # The tile, zero, in an anonymous map of its own rather than the
+        # malloc heap: a block that lives as long as its thread, made mid-run,
+        # would pin the freed heap below it (glibc trims only the heap top),
+        # which lifted decode-lut-32's peak RSS by ~1.5 MiB in a third of runs.
+        tile = np.frombuffer(mmap.mmap(-1, TILE_ROWS * k * rows.dtype.itemsize), rows.dtype)
+        # the tile and how many of its rows the last call wrote
+        entry = tiles[k, rows.dtype] = [tile.reshape(TILE_ROWS, k), 0]
+    pad, written = entry
+    pad[:m] = rows
+    if written > m:
+        pad[m:written] = 0
+    entry[1] = m
     return pad
 
 
 def _matmul_tiled(a: np.ndarray, b: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
-    a, b = _row_major(a), _row_major(b)
+    b = _row_major(b)
     m, k, n = a.shape[-2], a.shape[-1], b.shape[-1]
     if m < TILE_ROWS:
         # one padded tile: its gemm's leading rows are the result
-        return np.matmul(_pad_tile(a, m), b)[..., :m, :]
+        return np.matmul(_pad_tile(a), b)[..., :m, :]
+    a = _row_major(a)
     out = np.empty(lead + (m, n), dtype=a.dtype)
     whole = m - m % TILE_ROWS
     if whole:
@@ -164,7 +222,7 @@ def _matmul_tiled(a: np.ndarray, b: np.ndarray, lead: tuple[int, ...]) -> np.nda
                   b[..., None, :, :],
                   out=out[..., :whole, :].reshape(lead + (tiles, TILE_ROWS, n)))
     if whole < m:
-        out[..., whole:, :] = np.matmul(_pad_tile(a, m - whole), b)[..., : m - whole, :]
+        out[..., whole:, :] = np.matmul(_pad_tile(a[..., whole:, :]), b)[..., : m - whole, :]
     return out
 
 
@@ -214,9 +272,11 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     _check_float(logits, "logits")
     if logits.size == 0 or logits.shape[axis] == 0:
         raise ShapeError("softmax over an empty axis")
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    # np.max's and np.sum's reductions, same bits, without their Python
+    # wrappers, which cost more than one row's arithmetic
+    shifted = logits - np.maximum.reduce(logits, axis=axis, keepdims=True)
+    e = np.exp(shifted, out=shifted)
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 def _mean_square(x: np.ndarray) -> np.ndarray:
@@ -234,7 +294,7 @@ def rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     if gain.shape != (x.shape[-1],):
         raise ShapeError(f"gain shape {gain.shape} does not match width {x.shape[-1]}")
     inv = 1.0 / np.sqrt(_mean_square(x) + x.dtype.type(eps))
-    return (x * inv * gain).astype(x.dtype)
+    return (x * inv * gain).astype(x.dtype, copy=False)
 
 
 def rmsnorm_backward(

@@ -31,7 +31,7 @@ the shape mirror for gradients and optimizer state.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -197,17 +197,20 @@ def topk_select(scores: np.ndarray, k: int) -> np.ndarray:
 
 def route(router: np.ndarray, h_normed: np.ndarray, variant: str, k: int
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gate every position of ``h_normed`` (..., d).
+    """Gate every position of ``h_normed`` (..., d) by ``router``, a layer's
+    (N, d) router transposed to the (d, N) operand of its ``matmul``: the
+    row-major copy a ``DecodeState`` holds (``routers``), or a transposed
+    view, which ``matmul`` copies on each call.
 
     Returns (logits (..., N), selected experts, their gates). moe selects the
     k best scores (ascending index) per position and softmaxes over those
     only; mole selects all N experts, ``arange(N)`` for every position, and
     softmaxes over all N scores.
     """
-    logits = matmul(np.atleast_2d(h_normed), router.T).reshape(
-        h_normed.shape[:-1] + router.shape[:1])
+    logits = matmul(np.atleast_2d(h_normed), router).reshape(
+        h_normed.shape[:-1] + router.shape[1:])
     if variant == "mole":
-        return logits, np.arange(router.shape[0]), softmax(logits)
+        return logits, np.arange(router.shape[1]), softmax(logits)
     if variant == "moe":
         sel = topk_select(logits, k)
         rows = logits.reshape(-1, logits.shape[-1])
@@ -445,39 +448,58 @@ def combine_expert_rows(gates: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def moe_layer_forward(
     layer: LayerView,
     x: np.ndarray,
+    router: np.ndarray,
     cache: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k routed expert sub-layer (no shared expert): x + sum g_j FFN_j(hn).
-    Returns it with the selected experts (..., k), which offloading loads.
-    Only the selected experts run, and their hidden layers share one
-    ``gelu`` call."""
+    """Top-k routed expert sub-layer (no shared expert): x + sum g_j FFN_j(hn),
+    gated by ``router`` (the (d, N) operand of ``route``). Returns it with
+    the selected experts (..., k), which offloading loads.
+
+    Only the selected experts run. One stable sort groups the (row, slot)
+    pairs by expert, rows ascending within each, so every expert multiplies
+    one contiguous slice of a single gather of the normed rows, and the
+    hidden layers share one ``gelu`` call. Each row adds its gated outputs
+    in ascending expert index, as an expert-by-expert loop would. ``cache``
+    receives, per expert, the pairs' ``lane``, ``tok`` and ``slot`` and the
+    slices ``inp``, ``pre``, ``act`` and ``y`` of its rows (an empty dict
+    for an expert no row selected).
+    """
     cfg = layer.cfg
     hn = rmsnorm(x, layer.norm_gain("post_attn_norm"), RMS_EPS)
-    logits, sel, gates = route(layer.router, hn, "moe", cfg.k)  # (B, T, N), (B, T, k) x 2
-    out = x.copy()
-    expert_caches: list[dict] = [{} for _ in range(cfg.N)]
-    present = np.flatnonzero(np.bincount(sel.ravel(), minlength=cfg.N)).tolist()
-    picks = [np.nonzero(sel == j) for j in present]  # (lane, tok, slot) per expert
-    experts = [layer.expert(j) for j in present]
-    inps = [hn[lane, tok] for lane, tok, _ in picks]  # (n_j, d)
-    pres = [matmul(inp, w1) + b1 for inp, (w1, b1, _, _) in zip(inps, experts)]
+    logits, sel, gates = route(router, hn, "moe", cfg.k)  # (B, T, N), (B, T, k) x 2
+    flat_sel = sel.reshape(-1)
+    order = np.argsort(flat_sel, kind="stable")  # pairs by expert, then (row, slot)
+    row = order // cfg.k
+    ends = np.cumsum(np.bincount(flat_sel, minlength=cfg.N)).tolist()
+    spans = [(j, lo, hi, layer.expert(j))
+             for j, (lo, hi) in enumerate(zip([0] + ends, ends)) if hi > lo]
+    inp = hn.reshape(-1, cfg.d)[row]
+    pre = np.empty((row.size, cfg.D_r), dtype=x.dtype)
+    for _, lo, hi, (w1, b1, _, _) in spans:
+        np.add(matmul(inp[lo:hi], w1), b1, out=pre[lo:hi])
     # one GELU over every expert's rows: it is elementwise, so each row keeps its bits
-    acts = gelu(np.concatenate(pres)) if pres else None
-    start = 0
-    for j, (lane, tok, slot), (_, _, w2, b2), inp, pre in zip(present, picks, experts, inps,
-                                                            pres):
-        act = acts[start:start + len(pre)]
-        start += len(pre)
-        y = matmul(act, w2) + b2
-        g = gates[lane, tok, slot][:, None]
-        out[lane, tok] += g * y  # (lane, tok) pairs are unique per expert
-        if cache is not None:
-            expert_caches[j].update(lane=lane, tok=tok, slot=slot, inp=inp, pre=pre,
-                                    act=act, y=y)
+    act = gelu(pre)
+    y = np.empty((row.size, cfg.d), dtype=x.dtype)
+    for _, lo, hi, (_, _, w2, b2) in spans:
+        np.add(matmul(act[lo:hi], w2), b2, out=y[lo:hi])
+    # A row's slots hold its experts in ascending index (``topk_select``), so
+    # adding the gated outputs slot by slot adds them in that order, as an
+    # expert-by-expert loop does; ``np.add.at`` would too, but it pages in
+    # code nothing else runs, which raised the benchmark's peak RSS.
+    gated = np.empty_like(y)
+    gated[order] = gates.reshape(-1)[order, None] * y
+    gated = gated.reshape(-1, cfg.k, cfg.d)
+    out = x.reshape(-1, cfg.d) + gated[:, 0]
+    for s in range(1, cfg.k):
+        out += gated[:, s]
     if cache is not None:
-        cache.update(hn=hn, router_logits=logits, sel=sel, gates=gates,
-                     experts=expert_caches)
-    return out, sel
+        lane, tok, slot = np.unravel_index(order, sel.shape)
+        experts: list[dict] = [{} for _ in range(cfg.N)]
+        for j, lo, hi, _ in spans:
+            experts[j].update(lane=lane[lo:hi], tok=tok[lo:hi], slot=slot[lo:hi],
+                              inp=inp[lo:hi], pre=pre[lo:hi], act=act[lo:hi], y=y[lo:hi])
+        cache.update(hn=hn, router_logits=logits, sel=sel, gates=gates, experts=experts)
+    return out.reshape(x.shape), sel
 
 
 def mole_expert_rows(
@@ -507,9 +529,11 @@ def mole_layer_forward(
     layer: LayerView,
     x: np.ndarray,
     rows: np.ndarray | Callable[[], np.ndarray],
+    router: np.ndarray,
     cache: dict | None = None,
 ) -> np.ndarray:
-    """mole expert sub-layer: x + FFN_shared(post_attn_norm(x)) + sum_j g_j rows[j].
+    """mole expert sub-layer: x + FFN_shared(post_attn_norm(x)) + sum_j g_j rows[j],
+    gated by ``router`` (the (d, N) operand of ``route``).
 
     ``rows`` (N, ..., d) are the routed-expert outputs for the current
     tokens, or a no-argument callable returning them that runs after the
@@ -522,7 +546,7 @@ def mole_layer_forward(
     """
     cfg = layer.cfg
     hn = rmsnorm(x, layer.norm_gain("post_attn_norm"), RMS_EPS)
-    logits, _, gates = route(layer.router, hn, "mole", cfg.N)
+    logits, _, gates = route(router, hn, "mole", cfg.N)
     shared = ffn_forward(hn, layer.shared_w1, layer.shared_b1,
                          layer.shared_w2, layer.shared_b2, cache=cache, tag="shared_")
     if callable(rows):
@@ -628,6 +652,8 @@ def _forward(
         np.take(emb, uniq, axis=0, out=e_uniq[: uniq.size])
         if cache is not None:
             cache.update(uniq=uniq, inv=inv, e_uniq=e_uniq)
+    if cfg.has_experts and not state.routers:
+        state.routers = [np.ascontiguousarray(params.layer(i).router.T) for i in range(cfg.L)]
     for i in range(cfg.L):
         lv = params.layer(i)
         lc: dict | None = {} if cache is not None else None
@@ -638,17 +664,18 @@ def _forward(
         if cfg.variant == "dense":
             x = dense_layer_forward(lv, x, cache=lc)
         elif cfg.variant == "moe":
-            x, sel = moe_layer_forward(lv, x, cache=lc)
+            x, sel = moe_layer_forward(lv, x, state.routers[i], cache=lc)
             if moe_sel is not None:
                 moe_sel.append(sel.reshape(-1, cfg.k))
         elif mole_lut:
             # (B*T, N, d) table rows -> (N, B, T, d)
             x = mole_layer_forward(lv, x, lambda t=ticket: lut.await_rows(t).transpose(
-                1, 0, 2).reshape(row_shape).astype(params.dtype, copy=False), cache=lc)
+                1, 0, 2).reshape(row_shape).astype(params.dtype, copy=False),
+                state.routers[i], cache=lc)
         else:
             # (N, U padded, d) rows of the distinct ids -> (N, B, T, d)
             x = mole_layer_forward(lv, x, lambda lv=lv, lc=lc: mole_expert_rows(
-                lv, e_uniq, cache=lc)[:, inv].reshape(row_shape), cache=lc)
+                lv, e_uniq, cache=lc)[:, inv].reshape(row_shape), state.routers[i], cache=lc)
         if cache is not None:
             cache["layers"].append(lc)
         if collect_hidden is not None:
@@ -675,12 +702,16 @@ class DecodeState:
     whole blocks; ``lengths[b]`` is lane b's cached length, the position of
     its next token, and may not pass ``capacity``. The arenas are zero where
     nothing was written, so a block past a lane's span adds exact ``+0.0``
-    in the attention core (``_attend_lanes``)."""
+    in the attention core (``_attend_lanes``). ``routers[i]`` is layer i's
+    router as ``route``'s row-major (d, N) operand, copied at the state's
+    first forward: a state serves one decode, verification group or
+    training forward, over which the parameters do not change."""
 
     k: list[np.ndarray]
     v: list[np.ndarray]
     lengths: np.ndarray
     capacity: int
+    routers: list[np.ndarray] = field(default_factory=list)
 
 
 def init_decode_state(params: ModelParams, lanes: int, capacity: int) -> DecodeState:

@@ -244,6 +244,39 @@ class TestGreedyDecode:
         want = 1 * p.cfg.N * p.cfg.L * row_bytes
         assert all(r.bytes == want for r in res.meter.decode_records())
 
+    @pytest.mark.parametrize("runtime", ["moe-offload", "mole-lut"])
+    def test_decode_steps_copy_no_operand(self, tmp_path, monkeypatch, rng, runtime):
+        """The routers are copied to row-major operands once per decode, at
+        prefill: no decode step calls ``np.ascontiguousarray``."""
+        if runtime == "mole-lut":
+            _, params, path = mole_lut_setup(tmp_path)
+            lut = open_lut(path)
+        else:
+            params, lut = tiny_moe(), None
+        copies, per_step = [0], []
+        real_copy, real_step = np.ascontiguousarray, engine.forward_lanes
+
+        def counted_copy(*args, **kwargs):
+            copies[0] += 1
+            return real_copy(*args, **kwargs)
+
+        def counted_step(*args, **kwargs):
+            before = copies[0]
+            out = real_step(*args, **kwargs)
+            per_step.append(copies[0] - before)
+            return out
+
+        monkeypatch.setattr(np, "ascontiguousarray", counted_copy)
+        monkeypatch.setattr(engine, "forward_lanes", counted_step)
+        prompts = [rng.integers(0, params.cfg.vocab, size=n) for n in (3, 5, 2)]
+        try:
+            greedy_decode(params, prompts, steps=4, runtime=runtime, lut=lut)
+        finally:
+            if lut is not None:
+                lut.close()
+        assert per_step == [0] * 4
+        assert copies[0] == params.cfg.L  # the prefill's router copies
+
 
 class TestGreedyPick:
     def test_one_argmax_per_row_ties_to_lower_id(self):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import warnings
 from pathlib import Path
 
@@ -175,6 +176,77 @@ class TestMatmul:
         want = np.broadcast_shapes(lead_a, lead_b) + (4, 6)
         assert matmul(a, b).shape == want
         assert matmul_sequential(a, b).shape == want
+
+
+class TestScratchTile:
+    """Under the tiled kernel, whatever the local probe picks, a partial
+    tile against a 2-D ``b`` is padded in this thread's scratch tile of its
+    dtype and K; the result never aliases it."""
+
+    @pytest.fixture(autouse=True)
+    def tiled(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_backends", {dt: kernels.TILED for dt in kernels.FLOAT_DTYPES})
+
+    @staticmethod
+    def lone_rows(a, b):
+        # each row on its own against a batched b, which pads into a fresh zero tile
+        return np.concatenate([matmul(a[i : i + 1], b[None])[0] for i in range(len(a))])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tall_short_tall_calls_give_each_rows_lone_bytes(self, dtype):
+        rng = np.random.default_rng(20)
+        k, n = 37, 11
+        b = rng.standard_normal((k, n)).astype(dtype)
+        for m in (TILE_ROWS - 1, 1, TILE_ROWS - 1, TILE_ROWS + 3, 2):
+            a = rng.standard_normal((m, k)).astype(dtype)
+            assert matmul(a, b).tobytes() == self.lone_rows(a, b).tobytes(), m
+            # the rows below the last call's rows are zero again
+            tile, _ = kernels._scratch.tiles[k, np.dtype(dtype)]
+            assert not tile[m % TILE_ROWS :].any()
+
+    def test_result_is_not_changed_by_the_next_call(self):
+        rng = np.random.default_rng(21)
+        b = rng.standard_normal((24, 9)).astype(np.float32)
+        a1, a2 = (rng.standard_normal((m, 24)).astype(np.float32) for m in (3, 5))
+        first = matmul(a1, b)
+        kept = first.copy()
+        second = matmul(a2, b)
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, second)
+        tile, _ = kernels._scratch.tiles[24, np.dtype(np.float32)]
+        assert not np.shares_memory(first, tile) and not np.shares_memory(second, tile)
+
+    def test_threads_get_the_single_thread_bytes(self):
+        # more threads than cores, switching often, alternate row counts and K;
+        # gemms long enough that a thread can run while another's BLAS call runs
+        rng = np.random.default_rng(22)
+        bs = {k: rng.standard_normal((k, 96)).astype(np.float32) for k in (320, 512)}
+        cases = [(m, k) for m in (TILE_ROWS - 1, 1, 7, TILE_ROWS + 5, 2) for k in bs]
+        operands = [(rng.standard_normal((m, k)).astype(np.float32), bs[k]) for m, k in cases]
+        want = [matmul(a, b).tobytes() for a, b in operands]
+        n_threads = (os.cpu_count() or 1) + 2
+        start = threading.Barrier(n_threads)
+        mismatches = []
+
+        def run(shift):
+            start.wait()
+            for rep in range(300):
+                i = (rep * 3 + shift) % len(operands)
+                if matmul(*operands[i]).tobytes() != want[i]:
+                    mismatches.append((shift, i))
+
+        threads = [threading.Thread(target=run, args=(shift,)) for shift in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
 
 
 class TestProbe:

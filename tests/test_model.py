@@ -32,7 +32,7 @@ from mole.model import (
 
 def mole_train_form(lv, x, e):
     """The training-form mole sub-layer: expert FFNs on the embedding rows."""
-    return mole_layer_forward(lv, x, lambda: mole_expert_rows(lv, e))
+    return mole_layer_forward(lv, x, lambda: mole_expert_rows(lv, e), lv.router.T)
 
 
 def attend(p, x, state=None, i=0):
@@ -130,13 +130,13 @@ class TestRoute:
 
     def test_mole_equal_scores_uniform_gates(self):
         r, h = self._router([0.3, 0.3, 0.3, 0.3])
-        _, sel, gates = route(r, h, "mole", 4)
+        _, sel, gates = route(r.T, h, "mole", 4)
         assert tuple(sel.tolist()) == (0, 1, 2, 3)
         assert np.allclose(list(gate_map(sel, gates).values()), 0.25, atol=1e-6)
 
     def test_moe_topk_analytic_pair(self):
         r, h = self._router([0.1, 0.9, 0.5])
-        _, sel, gates = route(r, h, "moe", 2)
+        _, sel, gates = route(r.T, h, "moe", 2)
         assert tuple(sel.tolist()) == (1, 2)
         g = gate_map(sel, gates)
         want1 = 1.0 / (1.0 + math.exp(-0.4))
@@ -147,8 +147,8 @@ class TestRoute:
         rng = np.random.default_rng(3)
         r = rng.standard_normal((4, 16)).astype(np.float32)
         h = rng.standard_normal(16).astype(np.float32)
-        _, moe_sel, moe_gates = route(r, h, "moe", 4)
-        _, mole_sel, mole_gates = route(r, h, "mole", 4)
+        _, moe_sel, moe_gates = route(r.T, h, "moe", 4)
+        _, mole_sel, mole_gates = route(r.T, h, "mole", 4)
         assert tuple(moe_sel.tolist()) == tuple(mole_sel.tolist())
         moe, mole = gate_map(moe_sel, moe_gates), gate_map(mole_sel, mole_gates)
         for j in moe:
@@ -156,7 +156,7 @@ class TestRoute:
 
     def test_tie_breaks_toward_lower_index(self):
         r, h = self._router([0.5, 0.5, 0.5])
-        _, sel, _ = route(r, h, "moe", 2)
+        _, sel, _ = route(r.T, h, "moe", 2)
         assert tuple(sel.tolist()) == (0, 1)
 
     def test_gates_sum_to_one(self):
@@ -165,7 +165,7 @@ class TestRoute:
             r = rng.standard_normal((6, 8)).astype(np.float32)
             h = rng.standard_normal(8).astype(np.float32)
             for variant, k in (("moe", 3), ("mole", 6)):
-                g = gate_map(*route(r, h, variant, k)[1:])
+                g = gate_map(*route(r.T, h, variant, k)[1:])
                 assert abs(sum(g.values()) - 1.0) < 1e-6
                 assert all(v > 0 for v in g.values())
 
@@ -174,12 +174,12 @@ class TestRoute:
         r = rng.standard_normal((5, 8)).astype(np.float32)
         h = rng.standard_normal((2, 3, 8)).astype(np.float32)
         for variant, k in (("moe", 2), ("mole", 5)):
-            logits, sel, gates = route(r, h, variant, k)
+            logits, sel, gates = route(r.T, h, variant, k)
             sel = np.broadcast_to(sel, gates.shape)  # mole selects arange(N) everywhere
             assert logits.shape == (2, 3, 5) and gates.shape == (2, 3, k)
             for b in range(2):
                 for t in range(3):
-                    one = route(r, h[b, t], variant, k)
+                    one = route(r.T, h[b, t], variant, k)
                     for got, want in zip((logits, sel, gates), one):
                         assert got[b, t].tobytes() == want.tobytes()
 
@@ -217,7 +217,7 @@ class TestMoeLayer:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((1, 3, p.cfg.d)).astype(np.float32)
         lv = p.layer(0)
-        got, _ = moe_layer_forward(lv, x)
+        got, _ = moe_layer_forward(lv, x, lv.router.T)
         hn = rmsnorm(x, lv.norm_gain("post_attn_norm"), RMS_EPS)
         w1, b1, w2, b2 = lv.expert(0)
         want = x + ffn_forward(hn, w1, b1, w2, b2)
@@ -230,14 +230,14 @@ class TestMoeLayer:
             p.tensors[f"layers.0.experts.{j}.b2"][:] = 0.0
         rng = np.random.default_rng(7)
         x = rng.standard_normal((2, 3, p.cfg.d)).astype(np.float32)
-        out, _ = moe_layer_forward(p.layer(0), x)
+        out, _ = moe_layer_forward(p.layer(0), x, p.layer(0).router.T)
         assert np.array_equal(out, x)
 
     def test_matches_dense_evaluation_oracle(self):
         p = tiny_moe()
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 4, p.cfg.d)).astype(np.float32)
-        got, _ = moe_layer_forward(p.layer(0), x)
+        got, _ = moe_layer_forward(p.layer(0), x, p.layer(0).router.T)
         want = self._dense_eval_oracle(p.layer(0), x)
         assert np.max(np.abs(got - want)) < 1e-6
 
@@ -245,7 +245,7 @@ class TestMoeLayer:
         p = tiny_moe(N=3, k=3)
         rng = np.random.default_rng(9)
         x = rng.standard_normal((1, 4, p.cfg.d)).astype(np.float32)
-        got, _ = moe_layer_forward(p.layer(0), x)
+        got, _ = moe_layer_forward(p.layer(0), x, p.layer(0).router.T)
         want = self._dense_eval_oracle(p.layer(0), x)
         assert np.max(np.abs(got - want)) < 1e-6
 
@@ -254,11 +254,99 @@ class TestMoeLayer:
         rng = np.random.default_rng(10)
         x = rng.standard_normal((3, 4, p.cfg.d)).astype(np.float32)
         lv = p.layer(0)
-        _, sel = moe_layer_forward(lv, x)
+        _, sel = moe_layer_forward(lv, x, lv.router.T)
         hn = rmsnorm(x, lv.norm_gain("post_attn_norm"), RMS_EPS)
-        _, want, _ = route(lv.router, hn, "moe", p.cfg.k)
+        _, want, _ = route(lv.router.T, hn, "moe", p.cfg.k)
         assert sel.shape == (3, 4, p.cfg.k)
         assert np.array_equal(sel, want)
+
+
+def moe_layer_by_expert(layer, x, router):
+    """The expert-by-expert form of ``moe_layer_forward``, the reference for
+    its grouped form: one ``np.nonzero`` per present expert, that expert's
+    rows gathered and run on their own, one ``gelu`` over every expert's
+    hidden rows, and each expert's gated outputs added to its rows, experts
+    ascending. Returns (out, sel, per-expert caches)."""
+    cfg = layer.cfg
+    hn = rmsnorm(x, layer.norm_gain("post_attn_norm"), RMS_EPS)
+    _, sel, gates = route(router, hn, "moe", cfg.k)
+    out = x.copy()
+    expert_caches = [{} for _ in range(cfg.N)]
+    present = np.flatnonzero(np.bincount(sel.ravel(), minlength=cfg.N)).tolist()
+    picks = [np.nonzero(sel == j) for j in present]  # (lane, tok, slot) per expert
+    experts = [layer.expert(j) for j in present]
+    inps = [hn[lane, tok] for lane, tok, _ in picks]
+    pres = [matmul(inp, w1) + b1 for inp, (w1, b1, _, _) in zip(inps, experts)]
+    acts = kernels.gelu(np.concatenate(pres))
+    start = 0
+    for j, (lane, tok, slot), (_, _, w2, b2), inp, pre in zip(present, picks, experts, inps,
+                                                            pres):
+        act = acts[start:start + len(pre)]
+        start += len(pre)
+        y = matmul(act, w2) + b2
+        out[lane, tok] += gates[lane, tok, slot][:, None] * y
+        expert_caches[j].update(lane=lane, tok=tok, slot=slot, inp=inp, pre=pre, act=act, y=y)
+    return out, sel, expert_caches
+
+
+class TestMoeLayerGrouping:
+    """``moe_layer_forward`` groups the (row, slot) pairs by expert with one
+    sort; its bits and its backprop cache are the expert-by-expert form's."""
+
+    @pytest.mark.parametrize("kernel", [kernels.TILED, kernels.SEQUENTIAL])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (1, 33), (3, 5)])
+    @pytest.mark.parametrize("tie", [False, True], ids=["scores", "tie"])
+    def test_matches_expert_by_expert_reference(self, monkeypatch, kernel, shape, tie):
+        monkeypatch.setattr(kernels, "_backends", {np.dtype(np.float32): kernel})
+        p = tiny_moe(N=5, k=2)
+        lv = p.layer(0)
+        if tie:
+            # equal router rows: experts 1 and 3 always score the same, so a
+            # row picks both, or expert 1 (the lower index) if one fits
+            p.tensors["layers.0.router"][3] = p.tensors["layers.0.router"][1]
+        rng = np.random.default_rng(sum(shape))
+        x = rng.standard_normal(shape + (p.cfg.d,)).astype(np.float32)
+        cache: dict = {}
+        got, sel = moe_layer_forward(lv, x, lv.router.T, cache=cache)
+        want, want_sel, want_caches = moe_layer_by_expert(lv, x, lv.router.T)
+        assert got.tobytes() == want.tobytes()
+        assert sel.dtype == want_sel.dtype and sel.tobytes() == want_sel.tobytes()
+        if tie:
+            scores = rmsnorm(x, lv.norm_gain("post_attn_norm"), RMS_EPS) @ lv.router.T
+            assert np.array_equal(scores[..., 1], scores[..., 3])
+        assert len(cache["experts"]) == p.cfg.N
+        for ec, want_ec in zip(cache["experts"], want_caches):
+            assert ec.keys() == want_ec.keys()
+            for name, value in want_ec.items():
+                assert ec[name].dtype == value.dtype, name
+                assert ec[name].shape == value.shape, name
+                assert ec[name].tobytes() == value.tobytes(), name
+
+
+class TestRouterOperand:
+    """A ``DecodeState`` copies each router once, at its first forward."""
+
+    @pytest.mark.parametrize("make", [tiny_moe, tiny_mole])
+    def test_router_scaled_in_place_reaches_the_next_forward(self, make):
+        p = make()
+        ids = np.array([[3, 1, 4, 1, 5], [9, 2, 6, 5, 3]])
+        before = model_forward(p, ids)
+        p.tensors["layers.1.router"] *= 3.0  # in place, as adam_step updates it
+        got = model_forward(p, ids)
+        assert got.tobytes() != before.tobytes()
+        assert got.tobytes() == model_forward(p.copy(), ids).tobytes()
+
+    def test_state_holds_row_major_router_operands(self):
+        p = tiny_moe()
+        state = init_decode_state(p, 1, 4)
+        assert state.routers == []
+        forward_tokens(p, [np.array([1, 2])], state)
+        copies = state.routers
+        assert len(copies) == p.cfg.L
+        for i, r in enumerate(copies):
+            assert r.flags.c_contiguous and np.array_equal(r, p.layer(i).router.T)
+        forward_tokens(p, [np.array([3])], state)
+        assert all(a is b for a, b in zip(state.routers, copies))
 
 
 class TestMoleLayer:
@@ -318,7 +406,7 @@ class TestMoleLayer:
         lv = p.layer(0)
         rows = mole_expert_rows(lv, e)
         train_out = mole_train_form(lv, x, e)
-        infer_out = mole_layer_forward(lv, x, rows)
+        infer_out = mole_layer_forward(lv, x, rows, lv.router.T)
         assert train_out.tobytes() == infer_out.tobytes()
 
     def test_two_equal_experts_average_rows(self):
@@ -330,7 +418,7 @@ class TestMoleLayer:
         r2 = rng.standard_normal((1, 1, p.cfg.d)).astype(np.float32)
         rows = np.stack([r1, r2])
         lv = p.layer(0)
-        got = mole_layer_forward(lv, x, rows)
+        got = mole_layer_forward(lv, x, rows, lv.router.T)
         hn = rmsnorm(x, lv.norm_gain("post_attn_norm"), RMS_EPS)
         shared = ffn_forward(hn, lv.shared_w1, lv.shared_b1, lv.shared_w2, lv.shared_b2)
         want = x + shared + (r1 + r2) / 2.0
@@ -584,7 +672,7 @@ def per_position_logits(p, ids):
     for i in range(p.cfg.L):
         lv = p.layer(i)
         x = attend(p, x, state, i)
-        x = mole_layer_forward(lv, x, mole_expert_rows(lv, e))
+        x = mole_layer_forward(lv, x, mole_expert_rows(lv, e), lv.router.T)
     xf = rmsnorm(x, p.tensors["final_norm.gain"], RMS_EPS)
     return matmul(xf, p.tensors["lm_head"])
 

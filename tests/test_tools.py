@@ -20,7 +20,7 @@ def test_bit_digest_prints_the_same_lines_twice():
     first, second = (out.splitlines() for out, _ in outs)
     assert first == second
     # per kernel: 3 models x (logits, grads), Adam's params, m and v, 4 verify
-    # reports, 3 runtimes x (stream, meter) and 2 decode logits digests
-    assert len(first) == 2 * (6 + 3 + 4 + 6 + 2)
+    # reports, 3 runtimes x (stream, meter) and 4 decode logits digests
+    assert len(first) == 2 * (6 + 3 + 4 + 6 + 4)
     for line in first:
         assert re.fullmatch(r"(tiled-blas|sequential) [\w.-]+ [0-9a-f]{64}", line), line

@@ -15,11 +15,12 @@ float32, from seeded weights of the toy configs in ``configs/``:
 - ``decode``: the token stream and meter of a 32-lane ``greedy_decode``
   (prompt lengths 4..16, 4 steps) on the ``mole-lut`` (fp32 table),
   ``mole-train`` and ``moe-offload`` runtimes, and for the two mole
-  runtimes every logits row such a decode picks from (prefill and steps,
-  through ``model.forward_tokens``), which a stream seldom shows.
+  runtimes, and for toy-moe at 1 and at 32 lanes, every logits row such a
+  decode picks from (prefill and steps, through ``model.forward_tokens``),
+  which a stream seldom shows.
 
 Every group runs under ``kernels.TILED`` and then ``kernels.SEQUENTIAL``,
-forced whatever the local BLAS probe would pick: 2 x 21 lines. A run takes
+forced whatever the local BLAS probe would pick: 2 x 23 lines. A run takes
 about 7 s on a 2-core host.
 """
 
@@ -125,6 +126,8 @@ def decode_digests(workdir: Path):
         runs = [("mole-lut", engine.greedy_decode(infer, prompts, 4, "mole-lut", lut=lut))]
         yield "decode.mole-lut.logits", step_logits(infer, prompts, 4, "lut_form", lut)
     yield "decode.mole-train.logits", step_logits(mole_params, prompts, 4, "train_form")
+    yield "decode.moe-1.logits", step_logits(moe_params, prompts[:1], 4, "train_form")
+    yield "decode.moe-32.logits", step_logits(moe_params, prompts, 4, "train_form")
     runs.append(("mole-train", engine.greedy_decode(mole_params, prompts, 4, "mole-train")))
     runs.append(("moe-offload", engine.greedy_decode(moe_params, prompts, 4, "moe-offload",
                                                      seed=SEED)))
