@@ -14,10 +14,19 @@ Layout:
 Round-trips are bit-exact. Model configuration rides along as two auxiliary
 tensors ("__config_ints", "__config_floats") so a checkpoint alone is enough
 to rebuild the model.
+
+``load_model`` ends by handing the malloc heap's free pages back to the OS
+(glibc ``malloc_trim``; nothing where the C library lacks it). glibc trims
+the heap top by itself only once the free top passes a threshold that rises
+with the largest block freed so far, so whether the few MiB that earlier
+work, such as training, freed stay resident would otherwise depend on the
+heap's layout. A load starts the long-lived phase of a process (decode,
+verification, serving), whose resident size then starts from what is live.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import struct
 from pathlib import Path
@@ -41,6 +50,17 @@ _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 _CONFIG_INTS = "__config_ints"
 _CONFIG_FLOATS = "__config_floats"
+
+
+def _find_malloc_trim():
+    """The C library's ``malloc_trim``, or None where it has none."""
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
+_malloc_trim = _find_malloc_trim()
 
 
 class CheckpointError(IOError):
@@ -159,4 +179,6 @@ def load_model(path: str | Path) -> ModelParams:
     cfg, inference_form = _decode_config(tensors)
     weights = {k: v for k, v in tensors.items() if not k.startswith("__config")}
     _check_weights(cfg, inference_form, weights)
+    if _malloc_trim is not None:
+        _malloc_trim(0)  # see the module docstring
     return ModelParams(cfg, weights, inference_form)

@@ -210,3 +210,20 @@ def test_non_utf8_name_and_absurd_rank(tmp_path):
     path.write_bytes(bytes(raw[:21]) + b"\x00" * 8 * 70 + bytes(raw[21:]))
     with pytest.raises(CheckpointError, match="'x'"):
         read_tensors(path)
+
+
+def test_load_model_trims_the_heap_where_it_can(tmp_path, monkeypatch):
+    from mole import checkpoint
+
+    p = tiny_mole()
+    path = tmp_path / "m.ckpt"
+    save_model(path, p)
+    calls = []
+    monkeypatch.setattr(checkpoint, "_malloc_trim", calls.append)
+    q = load_model(path)
+    assert calls == [0]
+    # a C library without malloc_trim loads the same model
+    monkeypatch.setattr(checkpoint, "_malloc_trim", None)
+    r = load_model(path)
+    for k in p.tensors:
+        assert q.tensors[k].tobytes() == r.tensors[k].tobytes() == p.tensors[k].tobytes()
