@@ -21,8 +21,18 @@ absmax scale (2 bytes) followed by the codebook indices bit-packed LSB-first
 
 The normal-float codebooks are the 2^bits quantiles of the standard normal,
 symmetrized to include 0 and +-1, frozen below as literal constants (pinned
-by tests and implied by the file version). Rows are fetched lazily, when
-``await_rows`` redeems the ticket ``prefetch`` handed out (``RowSource``).
+by tests and implied by the file version). A value's code is its nearest
+entry, the lower index on ties, after division by the stored scale. The
+encoder finds it as a count of frozen float32 thresholds, one per pair of
+neighbouring entries: the largest float32 ``x`` in ``(cb[i-1], cb[i]]`` with
+``fl(x - cb[i-1]) <= fl(cb[i] - x)``. Both sides are monotone in ``x``, so
+``x`` takes ``cb[i-1]`` exactly when it is at most that threshold, and the
+count of thresholds below a value is the code an exhaustive argmin picks.
+The decoder looks codes up a whole-byte group at a time: nf4 one byte (two
+codes) in a 256 x 2 table, nf3 each 12-bit half (four codes) of a 3-byte
+group in a 4096 x 4 table; the values are then scaled in float32. Rows are
+fetched lazily, when ``await_rows`` redeems the ticket ``prefetch`` handed
+out (``RowSource``).
 
 A reader maps the payload read-only and copies each fetch's records out of
 the map in one indexed read, so only the pages a fetch touches are read in
@@ -36,6 +46,7 @@ page.
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 import os
@@ -93,6 +104,41 @@ NF3_CODEBOOK = np.array([
 ], dtype=np.float32)
 
 CODEBOOKS = {"nf4": NF4_CODEBOOK, "nf3": NF3_CODEBOOK}
+
+# THRESHOLDS[dtype][i - 1] is the largest float32 x in (cb[i-1], cb[i]] that
+# takes cb[i-1]: fl(x - cb[i-1]) <= fl(cb[i] - x) (ties go to the lower
+# index). Frozen from that rule; the tests derive each one again.
+NF4_THRESHOLDS = np.array([
+    -0.848096489906311,
+    -0.6106330156326294,
+    -0.4599952697753906,
+    -0.33967941999435425,
+    -0.23460739850997925,
+    -0.13791172206401825,
+    -0.045524995774030685,
+    0.039790164679288864,
+    0.120255246758461,
+    0.2035212218761444,
+    0.2920137345790863,
+    0.3893124759197235,
+    0.501663327217102,
+    0.6427868008613586,
+    0.861478328704834,
+], dtype=np.float32)
+
+NF3_THRESHOLDS = np.array([
+    -0.739314615726471,
+    -0.34788551926612854,
+    -0.10857091099023819,
+    0.08046508580446243,
+    0.24942266941070557,
+    0.4502660632133484,
+    0.7813084721565247,
+], dtype=np.float32)
+
+THRESHOLDS = {"nf4": NF4_THRESHOLDS, "nf3": NF3_THRESHOLDS}
+# the code a zero-scale block stores: the codebook's 0.0
+ZERO_CODES = {name: int(np.argmin(np.abs(cb))) for name, cb in CODEBOOKS.items()}
 
 
 def codebook_half_max_gap(dtype: str) -> float:
@@ -162,6 +208,23 @@ def _block_layout(dtype: str, block_size: int, d: int) -> int:
     return (d // block_size) * (2 + bits * block_size // 8)
 
 
+def _block_absmax(blocks: np.ndarray) -> np.ndarray:
+    """max |x| over the last axis, by elementwise folds of halves over a
+    transposed copy, so each fold runs over every block at once (an odd
+    width first folds its last column into the first). A max is exact in any
+    order, so this is ``np.abs(blocks).max(axis=-1)`` without a reduction
+    over a short axis."""
+    flat = blocks.reshape(-1, blocks.shape[-1])
+    m = np.abs(flat.T, out=np.empty(flat.shape[::-1], flat.dtype))
+    while len(m) > 1:
+        width = len(m)
+        if width % 2:
+            np.maximum(m[0], m[width - 1], out=m[0])
+            width -= 1
+        m = np.maximum(m[:width // 2], m[width // 2:width])
+    return m[0].reshape(blocks.shape[:-1])
+
+
 def _quantize_blocks(values: np.ndarray, dtype: str, block_size: int
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized blockwise quantization of (..., d) values.
@@ -169,33 +232,22 @@ def _quantize_blocks(values: np.ndarray, dtype: str, block_size: int
     Returns (scales (..., n_blocks) float16, codes (..., n_blocks, block_size)
     uint8). Values are normalized by the *stored* (half-rounded) scale, so
     encode and decode agree exactly; a zero (or half-underflowing) scale maps
-    the whole block to the codebook zero.
+    the whole block to the codebook zero. A code is the count of the
+    dtype's thresholds below the normalized value (see the module docstring).
     """
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("cannot quantize non-finite values")
-    cb = CODEBOOKS[dtype]
-    blocks = values.reshape(values.shape[:-1] + (-1, block_size)).astype(np.float32)
-    scales = np.abs(blocks).max(axis=-1).astype(np.float16)
+    blocks = values.reshape(values.shape[:-1] + (-1, block_size)).astype(np.float32,
+                                                                         copy=False)
+    scales = _block_absmax(blocks).astype(np.float16)
     scale_f32 = scales.astype(np.float32)
-    safe = np.where(scale_f32 > 0.0, scale_f32, 1.0)
-    normalized = blocks / safe[..., None]
-    # Nearest entry, lower index on ties (argmin's choice): only the two
-    # entries that bracket a value can be nearest, so compare those alone.
-    hi = np.zeros(normalized.shape, np.uint8)  # entries below, the last excluded
-    for entry in cb[:-1]:
-        hi += normalized > entry
-    lo = np.maximum(hi, 1) - 1
-    take_lo = np.abs(normalized - np.take(cb, lo)) <= np.abs(normalized - np.take(cb, hi))
-    codes = np.where(take_lo, lo, hi)
-    zero_code = int(np.argmin(np.abs(cb)))
-    codes = np.where(scale_f32[..., None] > 0.0, codes, np.uint8(zero_code))
+    zero = scale_f32 == 0.0
+    normalized = blocks / np.where(zero, np.float32(1.0), scale_f32)[..., None]
+    codes = np.zeros(normalized.shape, np.uint8)
+    for threshold in THRESHOLDS[dtype]:
+        codes += (normalized > threshold).view(np.uint8)
+    codes[zero] = ZERO_CODES[dtype]
     return scales, codes
-
-
-def _dequantize_blocks(scales: np.ndarray, codes: np.ndarray, dtype: str) -> np.ndarray:
-    values = np.take(CODEBOOKS[dtype], codes)
-    values *= scales.astype(np.float32)[..., None]
-    return values.reshape(codes.shape[:-2] + (-1,))
 
 
 def _code_groups(bits: int) -> tuple[int, int]:
@@ -219,19 +271,24 @@ def _pack_codes(codes: np.ndarray, bits: int) -> np.ndarray:
     return packed.reshape(codes.shape[:-1] + (-1,))
 
 
-def _unpack_codes(packed: np.ndarray, bits: int, block_size: int) -> np.ndarray:
-    """Inverse of ``_pack_codes``: (..., bits * block_size / 8) bytes ->
-    (..., block_size) uint8 codes, each group's integer read little-endian
-    and its codes shifted out LSB-first."""
-    per_group, width = _code_groups(bits)
-    groups = packed.reshape(packed.shape[:-1] + (-1, width))
-    word = groups[..., 0].astype(np.uint32)
-    for k in range(1, width):
-        word |= groups[..., k].astype(np.uint32) << np.uint32(8 * k)
-    codes = np.empty(word.shape + (per_group,), np.uint8)
-    for j in range(per_group):  # one pass per code slot, over every group
-        codes[..., j] = (word >> np.uint32(bits * j)) & np.uint32((1 << bits) - 1)
-    return codes.reshape(packed.shape[:-1] + (block_size,))
+@functools.cache
+def _decode_table(dtype: str) -> np.ndarray:
+    """The dtype's decode table, built on first use and read-only: row ``w``
+    holds the codebook values of the codes packed LSB-first in the integer
+    ``w``. nf4 is indexed by byte (256 x 2, 2 KiB), nf3 by each 12-bit half
+    of a 3-byte group (4096 x 4, 64 KiB)."""
+    bits, codes = QUANT_BITS[dtype], {"nf4": 2, "nf3": 4}[dtype]
+    word = np.arange(1 << bits * codes, dtype=np.uint16)
+    table = np.stack([CODEBOOKS[dtype][(word >> bits * j) & ((1 << bits) - 1)]
+                      for j in range(codes)], axis=-1)
+    table.flags.writeable = False
+    return table
+
+
+def _record_dtype(dtype: str, block_size: int) -> np.dtype:
+    """One quantized block as stored: the half scale, then the packed codes."""
+    return np.dtype([("scale", "<f2"),
+                     ("codes", np.uint8, (QUANT_BITS[dtype] * block_size // 8,))])
 
 
 def compression_ratio(bits: int, block_size: int) -> float:
@@ -253,17 +310,26 @@ def _pack_header(n_layers: int, vocab: int, n_experts: int, d: int,
     return head + b"\x00" * (HEADER_SIZE - len(head))
 
 
-def _encode_rows(flat_rows: np.ndarray, dtype: str, block_size: int) -> bytes:
-    """(n_rows, d) float rows -> payload bytes in row order."""
-    if dtype == "fp32":
-        return np.ascontiguousarray(flat_rows, dtype="<f4").tobytes()
-    if dtype == "fp16":
-        return np.ascontiguousarray(flat_rows, dtype="<f2").tobytes()
-    scales, codes = _quantize_blocks(flat_rows.astype(np.float32), dtype, block_size)
-    packed = _pack_codes(codes, QUANT_BITS[dtype])  # (n_rows, n_blocks, code_bytes)
-    scale_bytes = scales.astype("<f2").view(np.uint8).reshape(scales.shape + (2,))
-    blob = np.concatenate([scale_bytes, packed], axis=-1)
-    return blob.tobytes()
+# Rows quantized at once: bounds the encode's float temporaries to a few
+# copies of this many rows, whatever the vocabulary.
+_ENCODE_ROWS = 1024
+
+
+def _encode_rows(flat_rows: np.ndarray, dtype: str, block_size: int) -> np.ndarray:
+    """(n_rows, d) float rows -> payload bytes in row order, as one
+    contiguous array. Quantized rows are encoded ``_ENCODE_ROWS`` at a time
+    into one preallocated array of block records."""
+    if dtype in ("fp32", "fp16"):
+        return np.ascontiguousarray(flat_rows, dtype="<f4" if dtype == "fp32" else "<f2")
+    n_rows, d = flat_rows.shape
+    records = np.empty((n_rows, d // block_size), _record_dtype(dtype, block_size))
+    for start in range(0, n_rows, _ENCODE_ROWS):
+        rows = slice(start, start + _ENCODE_ROWS)
+        scales, codes = _quantize_blocks(flat_rows[rows].astype(np.float32, copy=False),
+                                         dtype, block_size)
+        records["scale"][rows] = scales
+        records["codes"][rows] = _pack_codes(codes, QUANT_BITS[dtype])
+    return records
 
 
 def write_lut(tables: list[LutTable], path: str | Path, dtype: str = "fp32",
@@ -405,13 +471,20 @@ class LutHandle(RowSource):
             return buf.view("<f4").reshape(shape).astype(np.float32, copy=False)
         if h.dtype == "fp16":
             return buf.view("<f2").reshape(shape).astype(np.float32)
-        bits = QUANT_BITS[h.dtype]
-        n_blocks = h.d // h.block_size
-        block_bytes = 2 + bits * h.block_size // 8
-        blob = buf.reshape(shape[:2] + (n_blocks, block_bytes))
-        scales = blob[..., :2].copy().view("<f2")[..., 0]
-        codes = _unpack_codes(blob[..., 2:], bits, h.block_size)
-        return _dequantize_blocks(scales, codes, h.dtype)
+        records = buf.view(_record_dtype(h.dtype, h.block_size)).reshape(
+            shape[:2] + (h.d // h.block_size,))
+        packed = records["codes"]
+        if h.dtype == "nf4":  # one byte holds two codes
+            index = packed.astype(np.intp)
+        else:  # a 3-byte group holds two 12-bit halves of four codes each
+            group = packed.reshape(packed.shape[:-1] + (-1, 3)).astype(np.intp)
+            index = np.empty(group.shape[:-1] + (2,), np.intp)
+            index[..., 0] = group[..., 0] | (group[..., 1] & 15) << 8
+            index[..., 1] = group[..., 1] >> 4 | group[..., 2] << 4
+        values = np.take(_decode_table(h.dtype), index, axis=0).reshape(
+            records.shape + (h.block_size,))
+        values *= records["scale"].astype(np.float32)[..., None]
+        return values.reshape(shape)
 
     def gather(self, layer: int, ids: np.ndarray) -> np.ndarray:
         """Rows for the requested token ids: (len(ids), N, d) float32.

@@ -24,7 +24,6 @@ from mole.lut_store import (
     PayloadLengthError,
     ReservedBytesError,
     TicketError,
-    _dequantize_blocks,
     _quantize_blocks,
     codebook_half_max_gap,
     compression_ratio,
@@ -34,6 +33,28 @@ from mole.lut_store import (
     write_lut,
 )
 from mole.reparam import LutTable, reparameterize
+
+
+def _unpack_codes(packed, bits, block_size):
+    """Inverse of ``lut_store._pack_codes``: (..., bits * block_size / 8)
+    bytes -> (..., block_size) uint8 codes, each group's integer read
+    little-endian and its codes shifted out LSB-first."""
+    per_group, width = lut_store._code_groups(bits)
+    groups = packed.reshape(packed.shape[:-1] + (-1, width))
+    word = groups[..., 0].astype(np.uint32)
+    for k in range(1, width):
+        word |= groups[..., k].astype(np.uint32) << np.uint32(8 * k)
+    codes = np.empty(word.shape + (per_group,), np.uint8)
+    for j in range(per_group):
+        codes[..., j] = (word >> np.uint32(bits * j)) & np.uint32((1 << bits) - 1)
+    return codes.reshape(packed.shape[:-1] + (block_size,))
+
+
+def _dequantize_blocks(scales, codes, dtype):
+    """Codebook entry times the block's float32 scale, code by code."""
+    values = np.take(CODEBOOKS[dtype], codes)
+    values *= scales.astype(np.float32)[..., None]
+    return values.reshape(codes.shape[:-2] + (-1,))
 
 
 def reference_record(path, layer, token):
@@ -177,6 +198,103 @@ class TestQuantizeRow:
         assert len(set(codes[2].ravel().tolist())) > 1  # subnormal scale still codes
 
 
+class TestThresholdCodes:
+    """The encoder's frozen thresholds and the codes counted from them."""
+
+    @staticmethod
+    def takes_lower(x, lower, upper):
+        return np.float32(x - lower) <= np.float32(upper - x)
+
+    @pytest.mark.parametrize("dtype", ["nf4", "nf3"])
+    def test_thresholds_follow_the_float32_rule(self, dtype):
+        cb, thresholds = CODEBOOKS[dtype], lut_store.THRESHOLDS[dtype]
+        assert thresholds.dtype == np.float32 and thresholds.size == cb.size - 1
+        for lower, upper, t in zip(cb[:-1], cb[1:], thresholds):
+            assert lower < t <= upper
+            assert self.takes_lower(t, lower, upper)
+            assert not self.takes_lower(np.nextafter(t, np.float32(np.inf)), lower, upper)
+
+    @staticmethod
+    def ulp_neighbourhoods(points, ulps=64):
+        """Every float32 within ``ulps`` ulps of each point, the point included."""
+        around = [points.astype(np.float32)]
+        for direction in (-np.inf, np.inf):
+            step = around[0]
+            for _ in range(ulps):
+                step = np.nextafter(step, np.float32(direction))
+                around.append(step)
+        return np.concatenate(around)
+
+    @pytest.mark.parametrize("dtype", ["nf4", "nf3"])
+    @pytest.mark.parametrize("block", [6, 24])
+    def test_codes_equal_argmin_near_every_threshold_and_entry(self, dtype, block):
+        cb = CODEBOOKS[dtype]
+        probes = self.ulp_neighbourhoods(np.concatenate([lut_store.THRESHOLDS[dtype], cb]))
+        probes = np.concatenate([probes, -probes])
+        probes = np.pad(probes, (0, -probes.size % (block - 1)))
+        # each block holds one +-1.0 at a position that walks the block, so
+        # the stored scale is 1 and a probe is its own normalized value; a
+        # block holding a probe just above 1 in magnitude still stores the
+        # half scale 1, so that probe normalizes above 1
+        blocks = probes.reshape(-1, block - 1)
+        lead = np.arange(len(blocks)) % block
+        rows = np.empty((len(blocks), block), np.float32)
+        for b, (at, rest) in enumerate(zip(lead, blocks)):
+            rows[b] = np.insert(rest, at, np.float32(1.0 if b % 2 else -1.0))
+        # a block whose absmax 1 + 2^-12 rounds to the half scale 1.0
+        over = np.resize(np.float32([1 + 2**-12, -(1 + 2**-12), 0.5]), block)
+        values = np.concatenate([rows, over[None]])
+        values = np.pad(values, ((0, -len(values) % (48 // block)), (0, 0))).reshape(-1, 48)
+        scales, codes = _quantize_blocks(values, dtype, block)
+        blocks = values.reshape(values.shape[0], -1, block)
+        assert np.array_equal(scales, np.abs(blocks).max(axis=-1).astype(np.float16))
+        assert np.any(np.abs(blocks) > scales.astype(np.float32)[..., None])  # |x| > 1
+        assert np.array_equal(codes, TestQuantizeRow.argmin_codes(values, dtype, block))
+
+
+class TestGroupDecode:
+    """Each whole-byte code group decodes through one table row."""
+
+    @staticmethod
+    def oracle(packed, dtype, codes_per_row):
+        """Codebook values of the codes ``_unpack_codes`` reads from ``packed``."""
+        bits = lut_store.QUANT_BITS[dtype]
+        return np.take(CODEBOOKS[dtype], _unpack_codes(packed, bits, codes_per_row))
+
+    def decode(self, tmp_path, dtype, packed):
+        """``gather`` of one-block rows whose scale is 1.0 and codes ``packed``."""
+        codes_per_row = packed.shape[1] * 8 // lut_store.QUANT_BITS[dtype]
+        scale = np.full((len(packed), 2), np.frombuffer(np.float16(1.0).tobytes(), np.uint8))
+        path = tmp_path / f"{dtype}.lut"
+        path.write_bytes(lut_store._pack_header(1, len(packed), 1, codes_per_row, dtype,
+                                                codes_per_row)
+                         + np.concatenate([scale, packed], axis=1).tobytes())
+        with open_lut(path) as h:
+            return h.gather(0, np.arange(len(packed)))[:, 0]
+
+    def test_nf4_every_byte(self, tmp_path):
+        packed = np.arange(256, dtype=np.uint8)[:, None]
+        want = self.oracle(packed, "nf4", 2)
+        assert np.array_equal(lut_store._decode_table("nf4"), want)
+        assert self.decode(tmp_path, "nf4", packed).tobytes() == want.tobytes()
+
+    def test_nf3_every_12_bit_pattern_in_both_halves(self, tmp_path):
+        low = np.arange(4096, dtype=np.uint32)
+        word = low | (4095 - low) << 12  # each pattern once in each half
+        packed = np.stack([(word >> 8 * k).astype(np.uint8) for k in range(3)], axis=1)
+        want = self.oracle(packed, "nf3", 8)
+        assert np.array_equal(lut_store._decode_table("nf3"), want[:, :4])
+        assert np.array_equal(lut_store._decode_table("nf3")[4095 - low], want[:, 4:])
+        assert self.decode(tmp_path, "nf3", packed).tobytes() == want.tobytes()
+
+    def test_tables_are_read_only(self):
+        for dtype in ("nf4", "nf3"):
+            table = lut_store._decode_table(dtype)
+            assert table is lut_store._decode_table(dtype)  # built once
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
+
 class TestCompressionRatio:
     def test_nf4_768(self):
         assert abs(compression_ratio(4, 768) - 386 / 1536) < 1e-12
@@ -318,6 +436,19 @@ class TestFileFormat:
         assert len(calls) == 2  # the header and a layer were written first
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["a.lut"]
+
+    @pytest.mark.parametrize("dtype", ["nf4", "nf3"])
+    def test_encode_chunk_size_moves_no_byte(self, tmp_path, monkeypatch, dtype):
+        import hashlib
+
+        tables = make_tables(seed=6)  # 11 x 3 = 33 rows per layer
+        digests = set()
+        for rows in (1, 7, 33):
+            monkeypatch.setattr(lut_store, "_ENCODE_ROWS", rows)
+            path = tmp_path / f"{dtype}-{rows}.lut"
+            write_lut(tables, path, dtype=dtype, block_size=8)
+            digests.add(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert len(digests) == 1
 
     def test_open_handle_survives_rewrite(self, tmp_path):
         path = tmp_path / "a.lut"

@@ -10,8 +10,11 @@ float32, from seeded weights of the toy configs in ``configs/``:
   toy-moe and toy-dense on one batch of 8 x 48 (``trainer.backward``);
 - ``adam``: toy-mole's params and Adam ``m`` and ``v`` after 10 steps of
   ``backward``, ``clip_gradients`` and ``adam_step``;
-- ``verify``: the ``verify_equivalence`` report of fp32, fp16, nf4 and nf3
-  tables (block 16 when quantized) on 16 prompts of lengths 1..64;
+- ``lut``: toy-mole's table file in fp32, fp16, nf4 and nf3 (block 16 when
+  quantized), and the rows ``gather`` returns from it for every id of every
+  layer;
+- ``verify``: the ``verify_equivalence`` report of each of those tables on
+  16 prompts of lengths 1..64;
 - ``decode``: the token stream and meter of a 32-lane ``greedy_decode``
   (prompt lengths 4..16, 4 steps) on the ``mole-lut`` (fp32 table),
   ``mole-train`` and ``moe-offload`` runtimes, and for the two mole
@@ -20,7 +23,7 @@ float32, from seeded weights of the toy configs in ``configs/``:
   which a stream seldom shows.
 
 Every group runs under ``kernels.TILED`` and then ``kernels.SEQUENTIAL``,
-forced whatever the local BLAS probe would pick: 2 x 23 lines. A run takes
+forced whatever the local BLAS probe would pick: 2 x 31 lines. A run takes
 about 7 s on a 2-core host.
 """
 
@@ -96,7 +99,11 @@ def verify_digests(workdir: Path):
         path = workdir / f"{dtype}.lut"
         lut_store.write_lut(tables, path, dtype=dtype,
                             block_size=16 if dtype in lut_store.QUANT_BITS else 0)
+        yield f"lut.{dtype}.file", hashlib.sha256(path.read_bytes()).hexdigest()
         with lut_store.open_lut(path) as lut:
+            ids = np.arange(lut.header.vocab)
+            yield f"lut.{dtype}.rows", sha(*(lut.gather(layer, ids)
+                                             for layer in range(lut.header.n_layers)))
             report = reparam.verify_equivalence(params, infer, lut, prompts, tolerance)
         yield f"verify.{dtype}", sha(repr(dataclasses.asdict(report)))
 
