@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -227,7 +228,20 @@ def _parse_prompt(text: str, vocab: int) -> np.ndarray:
     return np.array(ids)
 
 
+def _decode_flags(args) -> float:
+    """Check ``--steps`` and ``--bandwidth-gbps`` of infer and bench; returns
+    the link rate in bytes per second."""
+    if args.steps <= 0:
+        raise ConfigError("--steps", f"must be positive, got {args.steps}")
+    rate = args.bandwidth_gbps * 1e9
+    if not 0 < rate < math.inf:
+        raise ConfigError("--bandwidth-gbps",
+                          f"must be positive and finite, got {args.bandwidth_gbps}")
+    return rate
+
+
 def cmd_infer(args) -> int:
+    rate = _decode_flags(args)
     params = checkpoint.load_model(args.checkpoint)
     prompts = [_parse_prompt(p, params.cfg.vocab) for p in args.prompt]
     lut = None
@@ -240,7 +254,7 @@ def cmd_infer(args) -> int:
             lut = lut_store.open_lut(args.lut)
             check_lut_matches(params.cfg, lut.header)
             run_params = reparam.inference_params(params)
-        bw = analyst.BandwidthModel(bytes_per_second=args.bandwidth_gbps * 1e9)
+        bw = analyst.BandwidthModel(bytes_per_second=rate)
         result = engine.greedy_decode(run_params, prompts, args.steps,
                                       runtime=args.runtime, lut=lut,
                                       seed=args.seed, bandwidth=bw)
@@ -278,16 +292,16 @@ def _resolve_shape(args) -> ModelConfig:
 
 
 def cmd_bench(args) -> int:
-    for name in ("steps", "batch"):
-        if getattr(args, name) <= 0:
-            raise ConfigError(name, f"must be positive, got {getattr(args, name)}")
+    if args.batch <= 0:
+        raise ConfigError("--batch", f"must be positive, got {args.batch}")
+    rate = _decode_flags(args)
     cfg = _resolve_shape(args)
     variant = engine.RUNTIME_VARIANTS[args.runtime]
     if cfg.variant != variant:
         print(f"error: runtime {args.runtime} needs a {variant} "
               f"shape, got {cfg.variant}", file=sys.stderr)
         return EXIT_USAGE
-    bw = analyst.BandwidthModel(bytes_per_second=args.bandwidth_gbps * 1e9)
+    bw = analyst.BandwidthModel(bytes_per_second=rate)
     meter = engine.simulate_transfer_meter(cfg, args.batch, args.steps,
                                            seed=args.seed, bandwidth=bw)
     out = Path(args.out) if args.out else None

@@ -20,11 +20,14 @@ token of every lane, and each step one packed forward over one new token
 per lane (``model.forward_lanes``, which runs the layer loop and attention
 core of training, ``model.model_forward``, over one ``DecodeState``: per
 layer, a key arena and a value arena shared by all lanes, plus each lane's
-length). Row-wise work runs once over all rows, and the attention core once
-over all lanes; its gemms have fixed shapes and its padding adds exact
-zeros. Each lane therefore gets the bits it gets decoding alone, and those
-of the training-form forward over its tokens, and the meter is what the
-lanes would be charged alone.
+length, the rotary rows of every slot and each layer's resolved tensors,
+made once per decode). Row-wise work runs once over all rows, and the
+attention core once over all lanes; its gemms have fixed shapes and its
+padding adds exact zeros. A step's one row per lane takes the core's
+one-row grid: no query padding, one score max per lane. Each lane therefore
+gets the bits it gets decoding alone, and those of the training-form
+forward over its tokens, and the meter is what the lanes would be charged
+alone.
 
 One link model (``BandwidthModel``) prices every step's transfer time.
 Plus a model-free bandwidth simulator (uniform-random routing) for shapes
@@ -37,6 +40,7 @@ the previous step's activated union stay resident per layer.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -115,10 +119,14 @@ class BandwidthModel:
     fixed_overhead: float = 0.0
 
     def __post_init__(self):
-        if self.bytes_per_second <= 0:
-            raise ValueError("bytes_per_second must be positive")
-        if self.fixed_overhead < 0:
-            raise ValueError("fixed_overhead must be non-negative")
+        # NaN fails every comparison, and an infinite rate would price any
+        # transfer at zero seconds
+        if not 0 < self.bytes_per_second < math.inf:
+            raise ValueError(f"bytes_per_second must be positive and finite, "
+                             f"got {self.bytes_per_second}")
+        if not 0 <= self.fixed_overhead < math.inf:
+            raise ValueError(f"fixed_overhead must be non-negative and finite, "
+                             f"got {self.fixed_overhead}")
 
 
 def step_latency(nbytes: int, bw: BandwidthModel | None) -> float:

@@ -137,11 +137,9 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         _check_operands(a, b)
     if (_backends.get(dtype) or backend(dtype)) == SEQUENTIAL:
         return matmul_sequential(a, b)
-    if b.ndim > 2:
-        return _matmul_tiled(a, b, _lead_shape(a, b))
-    if a.ndim == 2:
-        return _matmul_tiled(a, b, ())
-    return _matmul_tiled(a.reshape(-1, a.shape[-1]), b, ()).reshape(a.shape[:-1] + b.shape[1:])
+    if b.ndim > 2 or a.ndim == 2:
+        return _matmul_tiled(a, b)
+    return _matmul_tiled(a.reshape(-1, a.shape[-1]), b).reshape(a.shape[:-1] + b.shape[1:])
 
 
 def matmul_sequential(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -206,12 +204,18 @@ def _pad_tile(rows: np.ndarray) -> np.ndarray:
     return pad
 
 
-def _matmul_tiled(a: np.ndarray, b: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+def _matmul_tiled(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = _row_major(b)
     m, k, n = a.shape[-2], a.shape[-1], b.shape[-1]
     if m < TILE_ROWS:
         # one padded tile: its gemm's leading rows are the result
-        return np.matmul(_pad_tile(a), b)[..., :m, :]
+        try:
+            return np.matmul(_pad_tile(a), b)[..., :m, :]
+        except ValueError:
+            _lead_shape(a, b)  # says which leading axes do not broadcast
+            raise
+    # the broadcast leading shape, which one padded tile does not need
+    lead = _lead_shape(a, b)
     a = _row_major(a)
     out = np.empty(lead + (m, n), dtype=a.dtype)
     whole = m - m % TILE_ROWS
@@ -234,9 +238,9 @@ def _rows_invariant(dtype: np.dtype) -> bool:
         b = rng.standard_normal((k, n)).astype(dtype)
         for m in (TILE_ROWS - 1, TILE_ROWS, 2 * TILE_ROWS + 3):
             a = rng.standard_normal((m, k)).astype(dtype)
-            full = _matmul_tiled(a, b, ())
+            full = _matmul_tiled(a, b)
             for i in range(m):
-                if _matmul_tiled(a[i : i + 1], b, ()).tobytes() != full[i].tobytes():
+                if _matmul_tiled(a[i : i + 1], b).tobytes() != full[i].tobytes():
                     return False
     return True
 

@@ -30,6 +30,7 @@ the shape mirror for gradients and optimizer state.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -86,33 +87,32 @@ class ModelParams:
 
 
 class LayerView:
-    """Read accessor for one block's tensors."""
+    """One block's tensors, looked up by name once: the params' own arrays,
+    not copies, so an in-place update of a tensor reaches every view of it.
+    A tensor the block does not have (a dense block's router, a stripped
+    mole block's experts) is None, and ``experts`` is then empty."""
+
+    __slots__ = ("cfg", "index", "input_norm", "attn_wqkv", "attn_bqkv", "attn_wo",
+                 "attn_bo", "post_attn_norm", "shared_w1", "shared_b1", "shared_w2",
+                 "shared_b2", "router", "expert_norm", "experts")
 
     def __init__(self, params: ModelParams, i: int):
-        self._t = params.tensors
-        self._p = f"layers.{i}"
+        t = params.tensors
+        p = f"layers.{i}."
         self.cfg = params.cfg
         self.index = i
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        # attn_wqkv -> layers.{i}.attn.wqkv, shared_w1 -> layers.{i}.shared.w1
-        key = f"{self._p}.{name.replace('_', '.', 1)}"
-        try:
-            return self._t[key]
-        except KeyError:
-            raise AttributeError(key)
-
-    def norm_gain(self, which: str) -> np.ndarray:
-        return self._t[f"{self._p}.{which}.gain"]
-
-    def expert(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        p = f"{self._p}.experts.{j}"
-        return (self._t[p + ".w1"], self._t[p + ".b1"],
-                self._t[p + ".w2"], self._t[p + ".b2"])
-
-    @property
-    def router(self) -> np.ndarray:
-        return self._t[f"{self._p}.router"]
+        self.input_norm = t[p + "input_norm.gain"]
+        self.attn_wqkv, self.attn_bqkv = t[p + "attn.wqkv"], t[p + "attn.bqkv"]
+        self.attn_wo, self.attn_bo = t[p + "attn.wo"], t[p + "attn.bo"]
+        self.post_attn_norm = t[p + "post_attn_norm.gain"]
+        self.shared_w1, self.shared_b1 = t.get(p + "shared.w1"), t.get(p + "shared.b1")
+        self.shared_w2, self.shared_b2 = t.get(p + "shared.w2"), t.get(p + "shared.b2")
+        self.router = t.get(p + "router")
+        self.expert_norm = t.get(p + "expert_norm.gain")
+        # (w1, b1, w2, b2) of each routed expert, in index order
+        self.experts = tuple(
+            tuple(t[f"{p}experts.{j}.{name}"] for name in ("w1", "b1", "w2", "b2"))
+            for j in range(params.cfg.N) if f"{p}experts.{j}.w1" in t)
 
 
 def param_names(cfg: ModelConfig, inference_form: bool = False) -> list[str]:
@@ -191,8 +191,9 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
 def topk_select(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries along the last axis, ascending index
     order, ties broken toward the lower index."""
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    return np.sort(order[..., :k], axis=-1)
+    top = (-scores).argsort(axis=-1, kind="stable")[..., :k].copy()
+    top.sort(axis=-1)
+    return top
 
 
 def route(router: np.ndarray, h_normed: np.ndarray, variant: str, k: int
@@ -207,14 +208,19 @@ def route(router: np.ndarray, h_normed: np.ndarray, variant: str, k: int
     only; mole selects all N experts, ``arange(N)`` for every position, and
     softmaxes over all N scores.
     """
-    logits = matmul(np.atleast_2d(h_normed), router).reshape(
-        h_normed.shape[:-1] + router.shape[1:])
+    if h_normed.ndim == 1:
+        logits = matmul(h_normed[None], router)[0]
+    else:
+        logits = matmul(h_normed, router)
     if variant == "mole":
         return logits, np.arange(router.shape[1]), softmax(logits)
     if variant == "moe":
         sel = topk_select(logits, k)
-        rows = logits.reshape(-1, logits.shape[-1])
-        picked = rows[np.arange(len(rows))[:, None], sel.reshape(len(rows), k)]
+        if sel.size == k:  # one position: its scores are the flat logits
+            picked = logits.reshape(-1)[sel]
+        else:
+            rows = logits.reshape(-1, logits.shape[-1])
+            picked = rows[np.arange(len(rows))[:, None], sel.reshape(len(rows), k)]
         return logits, sel, softmax(picked.reshape(sel.shape))
     raise ValueError(f"variant {variant!r} has no router")
 
@@ -246,31 +252,34 @@ def attention_forward(
 
     ``x`` holds the new rows of every lane, lane by lane: (1, R, d) for
     packed lanes of any lengths, or (B, T, d) for B lanes of T rows each.
-    ``rotary`` is their (cos, sin) tables (``rotary_tables`` of the rows'
+    ``rotary`` is their (cos, sin) rows (``rotary_tables`` of the rows'
     positions, shaped like ``x`` without its last axis), which a model
-    forward builds once for all its layers; the queries and keys rotate in
-    one call, as 2H heads. ``kv`` is the layer's key arena (lanes, H,
-    blocks, d_head, KEY_BLOCK), stored as transposed key blocks, its value
-    arena (lanes, H, blocks * KEY_BLOCK, d_head) and the step's
-    ``PackedStep`` (which lane owns each row, where it goes, and which
-    query/key tiles to score: the dense grid, or a tile plan that skips key
-    blocks wholly after a query chunk). One fixed-split core writes the new
-    keys and values and attends every lane over its own prefix, with bits
-    that do not depend on padding or on the plan (``_attend_lanes``), so a
-    lane gets the bits it gets alone, in training, prefill, decode and
-    verification alike. ``cache`` receives what backprop needs.
+    forward gathers once for all its layers from its ``DecodeState``; the
+    queries and keys rotate in one call, as 2H heads. ``kv`` is the layer's
+    key arena (lanes, H, blocks, d_head, KEY_BLOCK), stored as transposed
+    key blocks, its value arena (lanes, H, blocks * KEY_BLOCK, d_head) and
+    the step's ``PackedStep`` (which lane owns each row, where it goes, and
+    which query/key tiles to score: the dense grid, or a tile plan that
+    skips key blocks wholly after a query chunk). One fixed-split core
+    writes the new keys and values and attends every lane over its own
+    prefix, with bits that do not depend on padding or on the plan
+    (``_attend_lanes``), so a lane gets the bits it gets alone, in training,
+    prefill, decode and verification alike. ``cache`` receives what
+    backprop needs.
     """
     cfg = layer.cfg
     b, t, d = x.shape
     h = cfg.n_heads
-    xn = rmsnorm(x, layer.norm_gain("input_norm"), RMS_EPS)
-    qkv = matmul(xn, layer.attn_wqkv) + layer.attn_bqkv
+    xn = rmsnorm(x, layer.input_norm, RMS_EPS)
+    qkv = matmul(xn, layer.attn_wqkv)
+    qkv += layer.attn_bqkv
     qk = apply_rotary(qkv[..., : 2 * d].reshape(b, t, 2 * h, cfg.d_head), *rotary)
     v = qkv[..., 2 * d :].reshape(b, t, h, cfg.d_head)
-    scale = x.dtype.type(1.0 / np.sqrt(cfg.d_head))
+    scale = x.dtype.type(1.0 / math.sqrt(cfg.d_head))
     merged = _attend_lanes(qk[..., :h, :], qk[..., h:, :], v, *kv, scale, cache=cache)
-    attn_out = matmul(merged, layer.attn_wo) + layer.attn_bo
-    out = x + attn_out
+    out = matmul(merged, layer.attn_wo)
+    out += layer.attn_bo
+    out += x
     if cache is not None:
         cache.update(x_in=x, xn=xn, keys=kv[0], vals=kv[1], merged=merged, rotary=rotary)
     return out
@@ -298,8 +307,11 @@ def _attend_lanes(q, k_, v, keys, vals, step, scale, cache=None):
       one holding the chunk's last position, stacked into one ``matmul``
       over (tiles, H).
     Scores are set to ``-inf`` past each query's position; their max over
-    the scored blocks, folded block by block and then halved over the keys
-    (``_score_max``), is exact. Each block's denominator sums exactly
+    the scored blocks is exact: folded block by block and then halved over
+    the keys (``_score_max``), or, when every lane brings one row (a decode
+    step), one reduce over each lane's ``blocks * KEY_BLOCK`` scores. That
+    one-row grid needs no padding: its queries and its merged context are
+    views of ``q`` and of the context. Each block's denominator sums exactly
     ``KEY_BLOCK`` exponentials, ``e @ V`` is one more ``matmul``, and the
     block partials are added in ascending block order into accumulators
     that start at ``+0.0``, then divided once. ``cache`` receives the padded
@@ -320,28 +332,33 @@ def _attend_lanes(q, k_, v, keys, vals, step, scale, cache=None):
     if width != KEY_BLOCK or vals.shape[2] != held * KEY_BLOCK:
         raise ShapeError(f"arenas of {held} key blocks of {width} slots and {vals.shape[2]} "
                          f"value slots do not hold whole blocks of {KEY_BLOCK} slots")
-    block, slot = np.divmod(step.pos, KEY_BLOCK)
-    keys[step.lane, :, block, :, slot] = k_.reshape(-1, h, dh)
+    keys[step.lane, :, step.block, :, step.slot] = k_.reshape(-1, h, dh)
     vals[step.lane, :, step.pos] = v.reshape(-1, h, dh)
     blocks, n, tiles = step.blocks, step.rows, step.tiles
     kb = keys[:, :, :blocks]
     vb = vals[:, :, : blocks * KEY_BLOCK].reshape(lanes, h, blocks, KEY_BLOCK, dh)
-    padded = n if tiles is None else tiles.chunks * KEY_BLOCK
-    qp = np.zeros((lanes, h, padded, dh), dtype=q.dtype)
-    qp[step.lane, :, step.row] = q.reshape(-1, h, dh)
-    if tiles is not None:
-        return _attend_tiles(qp, kb, vb, step, scale, cache, q.shape[:2] + (h * dh,))
-    e = matmul(qp[:, :, None], kb)  # scores (lanes, H, blocks, n, KEY_BLOCK)
-    if not e.flags.c_contiguous:
-        # fewer than TILE_ROWS rows come back as a view of the padded gemm
-        # tiles; the elementwise steps below and the next gemm's padding run
-        # several times faster over a packed copy
-        e = e.copy()
-    e *= scale
+    out_shape = q.shape[:2] + (h * dh,)
+    if n == 1:
+        # one row per lane, lane by lane: row r is lane r's only query
+        qp = q.reshape(lanes, h, 1, dh)
+    else:
+        padded = n if tiles is None else tiles.chunks * KEY_BLOCK
+        qp = np.zeros((lanes, h, padded, dh), dtype=q.dtype)
+        qp[step.lane, :, step.row] = q.reshape(-1, h, dh)
+        if tiles is not None:
+            return _attend_tiles(qp, kb, vb, step, scale, cache, out_shape)
+    # fewer than TILE_ROWS rows come back as a view of the padded gemm tiles;
+    # the scaled scores are a packed copy, over which the elementwise steps
+    # below and the next gemm's padding run several times faster
+    e = matmul(qp[:, :, None], kb) * scale  # scores (lanes, H, blocks, n, KEY_BLOCK)
     np.copyto(e, q.dtype.type(-np.inf), where=step.hidden)
-    e -= _score_max(e[:, :, blk] for blk in range(blocks))[:, :, None]
+    if n == 1:
+        flat = e.reshape(lanes, h, blocks * KEY_BLOCK)
+        flat -= np.maximum.reduce(flat, axis=-1, keepdims=True)
+    else:
+        e -= _score_max(e[:, :, blk] for blk in range(blocks))[:, :, None]
     np.exp(e, out=e)
-    den_parts = e.sum(axis=-1, keepdims=True)
+    den_parts = np.add.reduce(e, axis=-1, keepdims=True)
     ctx_parts = matmul(e, vb)
     den = np.zeros((lanes, h, n, 1), dtype=q.dtype)
     ctx = np.zeros((lanes, h, n, dh), dtype=q.dtype)
@@ -352,7 +369,9 @@ def _attend_lanes(q, k_, v, keys, vals, step, scale, cache=None):
     if cache is not None:
         probs = (e / den[:, :, None]).transpose(0, 1, 3, 2, 4)
         cache.update(q=qp, probs=probs.reshape(lanes, h, n, blocks * KEY_BLOCK))
-    return ctx[step.lane, :, step.row].reshape(q.shape[:2] + (h * dh,))
+    if n == 1:
+        return ctx.reshape(out_shape)
+    return ctx[step.lane, :, step.row].reshape(out_shape)
 
 
 def _attend_tiles(qp, kb, vb, step, scale, cache, out_shape):
@@ -465,14 +484,20 @@ def moe_layer_forward(
     for an expert no row selected).
     """
     cfg = layer.cfg
-    hn = rmsnorm(x, layer.norm_gain("post_attn_norm"), RMS_EPS)
+    hn = rmsnorm(x, layer.post_attn_norm, RMS_EPS)
     logits, sel, gates = route(router, hn, "moe", cfg.k)  # (B, T, N), (B, T, k) x 2
     flat_sel = sel.reshape(-1)
-    order = np.argsort(flat_sel, kind="stable")  # pairs by expert, then (row, slot)
+    if flat_sel.size == cfg.k:
+        # a decode step's lone row: its k experts are distinct and ascending,
+        # so its pairs are grouped by expert as they stand
+        order = np.arange(cfg.k)
+        spans = [(j, s, s + 1, layer.experts[j]) for s, j in enumerate(flat_sel.tolist())]
+    else:
+        order = np.argsort(flat_sel, kind="stable")  # pairs by expert, then (row, slot)
+        ends = np.cumsum(np.bincount(flat_sel, minlength=cfg.N)).tolist()
+        spans = [(j, lo, hi, layer.experts[j])
+                 for j, (lo, hi) in enumerate(zip([0] + ends, ends)) if hi > lo]
     row = order // cfg.k
-    ends = np.cumsum(np.bincount(flat_sel, minlength=cfg.N)).tolist()
-    spans = [(j, lo, hi, layer.expert(j))
-             for j, (lo, hi) in enumerate(zip([0] + ends, ends)) if hi > lo]
     inp = hn.reshape(-1, cfg.d)[row]
     pre = np.empty((row.size, cfg.D_r), dtype=x.dtype)
     for _, lo, hi, (w1, b1, _, _) in spans:
@@ -512,10 +537,10 @@ def mole_expert_rows(
     e_rows: (..., d) raw embedding rows; returns (N, ..., d).
     """
     cfg = layer.cfg
-    en = rmsnorm(e_rows, layer.norm_gain("expert_norm"), RMS_EPS)
+    en = rmsnorm(e_rows, layer.expert_norm, RMS_EPS)
     rows = np.empty((cfg.N,) + e_rows.shape, dtype=e_rows.dtype)
     for j in range(cfg.N):
-        w1, b1, w2, b2 = layer.expert(j)
+        w1, b1, w2, b2 = layer.experts[j]
         ec = {} if cache is not None else None
         rows[j] = ffn_forward(en, w1, b1, w2, b2, cache=ec)
         if cache is not None:
@@ -545,7 +570,7 @@ def mole_layer_forward(
     forms combine here, so equal rows give equal bits.
     """
     cfg = layer.cfg
-    hn = rmsnorm(x, layer.norm_gain("post_attn_norm"), RMS_EPS)
+    hn = rmsnorm(x, layer.post_attn_norm, RMS_EPS)
     logits, _, gates = route(router, hn, "mole", cfg.N)
     shared = ffn_forward(hn, layer.shared_w1, layer.shared_b1,
                          layer.shared_w2, layer.shared_b2, cache=cache, tag="shared_")
@@ -560,7 +585,7 @@ def mole_layer_forward(
 
 
 def dense_layer_forward(layer: LayerView, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
-    hn = rmsnorm(x, layer.norm_gain("post_attn_norm"), RMS_EPS)
+    hn = rmsnorm(x, layer.post_attn_norm, RMS_EPS)
     shared = ffn_forward(hn, layer.shared_w1, layer.shared_b1,
                          layer.shared_w2, layer.shared_b2, cache=cache, tag="shared_")
     if cache is not None:
@@ -635,8 +660,8 @@ def _forward(
     x = embed(params, ids)
     flat = ids.reshape(-1)
     row_shape = (cfg.N,) + ids.shape + (cfg.d,)
-    rotary = rotary_tables(step.pos.reshape(ids.shape), cfg.d_head, cfg.rotary_fraction,
-                           params.dtype)
+    rotary = (state.cos[step.pos].reshape(ids.shape + state.cos.shape[1:]),
+              state.sin[step.pos].reshape(ids.shape + state.sin.shape[1:]))
     if cache is not None:
         cache.update(ids=ids, layers=[])
     if cfg.variant == "mole" and not mole_lut:
@@ -652,10 +677,11 @@ def _forward(
         np.take(emb, uniq, axis=0, out=e_uniq[: uniq.size])
         if cache is not None:
             cache.update(uniq=uniq, inv=inv, e_uniq=e_uniq)
-    if cfg.has_experts and not state.routers:
-        state.routers = [np.ascontiguousarray(params.layer(i).router.T) for i in range(cfg.L)]
-    for i in range(cfg.L):
-        lv = params.layer(i)
+    if not state.layers:
+        state.layers = [params.layer(i) for i in range(cfg.L)]
+        if cfg.has_experts:
+            state.routers = [np.ascontiguousarray(lv.router.T) for lv in state.layers]
+    for i, lv in enumerate(state.layers):
         lc: dict | None = {} if cache is not None else None
         ticket = lut.prefetch(i, flat) if mole_lut else None
         x = attention_forward(lv, x, rotary, (state.k[i], state.v[i], step), cache=lc)
@@ -693,24 +719,34 @@ def _forward(
 
 @dataclass
 class DecodeState:
-    """The KV arenas of one decode or training forward (single owner): per
-    layer, every lane's keys ``k[i]`` (lanes, H, blocks, d_head,
-    ``KEY_BLOCK``) as transposed key blocks, the operand layout of the
-    attention core's scores ``matmul`` (``key_rows`` gives the (lanes, H,
-    slots, d_head) view), and values ``v[i]`` (lanes, H, slots, d_head),
-    ``slots`` = blocks * ``KEY_BLOCK`` being ``capacity`` rounded up to
-    whole blocks; ``lengths[b]`` is lane b's cached length, the position of
-    its next token, and may not pass ``capacity``. The arenas are zero where
-    nothing was written, so a block past a lane's span adds exact ``+0.0``
-    in the attention core (``_attend_lanes``). ``routers[i]`` is layer i's
-    router as ``route``'s row-major (d, N) operand, copied at the state's
-    first forward: a state serves one decode, verification group or
-    training forward, over which the parameters do not change."""
+    """What one decode or training forward keeps from forward to forward
+    (single owner), sized once by its lanes and ``capacity``:
+    - the KV arenas, per layer: every lane's keys ``k[i]`` (lanes, H,
+      blocks, d_head, ``KEY_BLOCK``) as transposed key blocks, the operand
+      layout of the attention core's scores ``matmul`` (``key_rows`` gives
+      the (lanes, H, slots, d_head) view), and values ``v[i]`` (lanes, H,
+      slots, d_head), ``slots`` = blocks * ``KEY_BLOCK`` being ``capacity``
+      rounded up to whole blocks. They are zero where nothing was written,
+      so a block past a lane's span adds exact ``+0.0`` in the attention
+      core (``_attend_lanes``);
+    - ``lengths[b]``, lane b's cached length, the position of its next
+      token, which may not pass ``capacity``;
+    - ``cos``/``sin`` (slots, span / 2), the ``rotary_tables`` rows of every
+      slot's position, built once: a forward gathers its rows' tables by
+      position. They cover every slot, past ``max_seq`` too;
+    - ``layers[i]``, layer i's tensors resolved once (``LayerView``: the
+      params' own arrays), and ``routers[i]``, its router as ``route``'s
+      row-major (d, N) operand, a copy; both are made at the state's first
+      forward. A state serves one decode, verification group or training
+      forward, over which the parameters do not change."""
 
     k: list[np.ndarray]
     v: list[np.ndarray]
     lengths: np.ndarray
     capacity: int
+    cos: np.ndarray
+    sin: np.ndarray
+    layers: list[LayerView] = field(default_factory=list)
     routers: list[np.ndarray] = field(default_factory=list)
 
 
@@ -719,9 +755,12 @@ def init_decode_state(params: ModelParams, lanes: int, capacity: int) -> DecodeS
     blocks = -(-capacity // KEY_BLOCK)
     k_shape = (lanes, cfg.n_heads, blocks, cfg.d_head, KEY_BLOCK)
     v_shape = (lanes, cfg.n_heads, blocks * KEY_BLOCK, cfg.d_head)
+    cos, sin = rotary_tables(np.arange(blocks * KEY_BLOCK), cfg.d_head, cfg.rotary_fraction,
+                             params.dtype)
     return DecodeState(k=[np.zeros(k_shape, dtype=params.dtype) for _ in range(cfg.L)],
                        v=[np.zeros(v_shape, dtype=params.dtype) for _ in range(cfg.L)],
-                       lengths=np.zeros(lanes, dtype=np.int64), capacity=capacity)
+                       lengths=np.zeros(lanes, dtype=np.int64), capacity=capacity,
+                       cos=cos, sin=sin)
 
 
 def key_rows(keys: np.ndarray) -> np.ndarray:
@@ -760,9 +799,10 @@ class TilePlan:
 class PackedStep:
     """The layout of one packed forward, shared by every layer's attention
     core: packed row r is new row ``row[r]`` of lane ``lane[r]``, at position
-    ``pos[r]``, where its key and value go. The core reads the first
-    ``blocks`` key blocks; ``rows`` is the step's largest new count. It
-    scores a dense grid, every lane's padded queries against every block,
+    ``pos[r]``, where its key and value go: column ``slot[r]`` of key block
+    ``block[r]``. The core reads the first ``blocks`` key blocks; ``rows``
+    is the step's largest new count. It scores a dense grid, every lane's
+    padded queries against every block,
     where ``hidden`` (lanes, 1, blocks, rows, KEY_BLOCK) is True where a
     lane's new query j must not see the key at that position; or, when
     ``tiles`` is set, only the tiles of that ``TilePlan`` (``hidden`` is
@@ -771,6 +811,8 @@ class PackedStep:
     lane: np.ndarray
     row: np.ndarray
     pos: np.ndarray
+    block: np.ndarray
+    slot: np.ndarray
     blocks: int
     rows: int
     hidden: np.ndarray | None
@@ -784,19 +826,28 @@ def pack_lanes(lengths: np.ndarray, counts: np.ndarray) -> PackedStep:
     prefills) give a tile plan that skips the key blocks wholly after a
     query chunk. Both give every row the same bits (``_attend_lanes``); the
     rule keeps the plan's set-up cost off one-row steps, where there is
-    little to skip."""
+    little to skip. A step of one row per lane, row r being lane r's, is
+    laid out without the ragged build."""
+    n = int(counts.max())
+    if n == 1:
+        lane = np.arange(len(counts))
+        block, slot = np.divmod(lengths, KEY_BLOCK)
+        blocks = int(block.max()) + 1
+        hidden = np.arange(blocks * KEY_BLOCK) > lengths[:, None]
+        return PackedStep(lane, np.zeros_like(lane), lengths.copy(), block, slot, blocks, 1,
+                          hidden.reshape(len(counts), 1, blocks, 1, KEY_BLOCK))
     lane = np.repeat(np.arange(len(counts)), counts)
     row = np.arange(lane.size) - (np.cumsum(counts) - counts)[lane]
     pos = lengths[lane] + row
+    block, slot = np.divmod(pos, KEY_BLOCK)
     blocks = -(-int((lengths + counts).max()) // KEY_BLOCK)
-    n = int(counts.max())
     if n > KEY_BLOCK:
-        return PackedStep(lane, row, pos, blocks, n, None,
+        return PackedStep(lane, row, pos, block, slot, blocks, n, None,
                           _plan_tiles(lengths, counts, lane, row, blocks))
     key_pos = np.arange(blocks * KEY_BLOCK).reshape(blocks, 1, KEY_BLOCK)
     query_pos = lengths[:, None] + np.arange(n)
     hidden = key_pos[None] > query_pos[:, None, :, None]
-    return PackedStep(lane, row, pos, blocks, n, hidden[:, None])
+    return PackedStep(lane, row, pos, block, slot, blocks, n, hidden[:, None])
 
 
 def _plan_tiles(lengths, counts, lane, row, blocks) -> TilePlan:
@@ -885,4 +936,4 @@ def forward_lanes(
 def greedy_pick(logits: np.ndarray) -> np.ndarray:
     """The argmax of every row of ``logits`` (..., vocab) in one call, ties
     broken toward the lower token id."""
-    return np.argmax(logits, axis=-1)
+    return logits.argmax(axis=-1)

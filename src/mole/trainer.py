@@ -173,7 +173,7 @@ def _attention_backward(
     grads[p + ".attn.wqkv"] += matmul(_flat(xn).T, _flat(dqkv))
     grads[p + ".attn.bqkv"] += np.sum(_flat(dqkv), axis=0, dtype=dtype)
 
-    dx_norm, dgain = rmsnorm_backward(x_in, layer.norm_gain("input_norm"), dxn, RMS_EPS)
+    dx_norm, dgain = rmsnorm_backward(x_in, layer.input_norm, dxn, RMS_EPS)
     grads[p + ".input_norm.gain"] += dgain
     return dx_out + dx_norm
 
@@ -281,7 +281,7 @@ def backward(
                 g = lc["gates"][lane, tok, slot][:, None]
                 dgates[lane, tok, slot] += np.sum(dout_tok * ec["y"], axis=-1, dtype=dtype)
                 dinp = _ffn_backward(g * dout_tok, ec["inp"], ec["pre"], ec["act"],
-                                     lv.expert(j)[0], lv.expert(j)[2],
+                                     lv.experts[j][0], lv.experts[j][2],
                                      grads, f"{p}.experts.{j}")
                 dhn[lane, tok] += dinp
             dsel_scores = _softmax_backward(lc["gates"], dgates)
@@ -300,16 +300,16 @@ def backward(
             for j in range(cfg.N):
                 ec = lc["experts"][j]
                 den += _ffn_backward(dup[:, j], lc["en"], ec["pre"], ec["act"],
-                                     lv.expert(j)[0], lv.expert(j)[2],
+                                     lv.experts[j][0], lv.experts[j][2],
                                      grads, f"{p}.experts.{j}")
-            de_l, dgain_e = rmsnorm_backward(e_uniq, lv.norm_gain("expert_norm"),
+            de_l, dgain_e = rmsnorm_backward(e_uniq, lv.expert_norm,
                                              den, RMS_EPS)
             grads[p + ".expert_norm.gain"] += dgain_e
             de_uniq += de_l
             dlogits_r = _softmax_backward(gates, dgates)
             dhn += _router_scatter_grads(lv, hn, dlogits_r, grads)
 
-        dpost, dgain_p = rmsnorm_backward(x_mid, lv.norm_gain("post_attn_norm"), dhn, RMS_EPS)
+        dpost, dgain_p = rmsnorm_backward(x_mid, lv.post_attn_norm, dhn, RMS_EPS)
         grads[p + ".post_attn_norm.gain"] += dgain_p
         dx_mid += dpost
 

@@ -128,6 +128,17 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "--prompt" in err and f"token {bad}" in err and "[0, 61)" in err
 
+    @pytest.mark.parametrize("flag, value", [("--steps", "0"), ("--steps", "-3"),
+                                             ("--bandwidth-gbps", "0"),
+                                             ("--bandwidth-gbps", "nan"),
+                                             ("--bandwidth-gbps", "inf")])
+    def test_infer_bad_decode_flag_exit_2_names_flag(self, trained, capsys, flag, value):
+        argv = ["infer", "--checkpoint", trained, "--prompt", "4,5", "--steps", "2"]
+        assert run(argv + [flag, value]) == 2
+        captured = capsys.readouterr()
+        assert f"config field '{flag}': must be positive" in captured.err
+        assert "lane 0:" not in captured.out
+
     def test_corrupted_lut_verify_fails_exit_1(self, trained, tmp_path, capsys):
         lut = tmp_path / "model.lut"
         run(["reparam", "--checkpoint", trained, "--out", lut])
@@ -251,12 +262,21 @@ class TestBenchAndReport:
         out = capsys.readouterr().out
         assert "custom" in out and "PASS" not in out
 
-    @pytest.mark.parametrize("flag", ["--steps", "--batch"])
+    @pytest.mark.parametrize("flag", ["--steps", "--batch", "--bandwidth-gbps"])
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_bench_nonpositive_count_exit_2_names_field(self, flag, value, capsys):
         assert run(["bench", "--runtime", "dense", "--preset", "410M-dense",
                     flag, value]) == 2
-        assert f"config field '{flag[2:]}': must be positive" in capsys.readouterr().err
+        assert f"config field '{flag}': must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e300"])
+    def test_bench_nonfinite_bandwidth_exit_2_names_flag(self, value, capsys):
+        # 1e300 GB/s is finite, but not in bytes per second
+        assert run(["bench", "--runtime", "moe-offload", "--preset", "410M-moe-10e",
+                    "--bandwidth-gbps", value]) == 2
+        captured = capsys.readouterr()
+        assert "config field '--bandwidth-gbps': must be positive and finite" in captured.err
+        assert captured.out == ""
 
     def test_unknown_preset_exit_2(self, capsys):
         assert run(["bench", "--runtime", "dense", "--preset", "nope"]) == 2

@@ -81,6 +81,14 @@ class TestStepLatency:
     def test_no_bandwidth_model(self):
         assert step_latency(12345, None) == 0.0
 
+    @pytest.mark.parametrize("field, value", [
+        ("bytes_per_second", np.nan), ("bytes_per_second", np.inf),
+        ("bytes_per_second", -np.inf), ("bytes_per_second", 0.0),
+        ("fixed_overhead", np.nan), ("fixed_overhead", np.inf), ("fixed_overhead", -1e-9)])
+    def test_rejects_nonfinite_or_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BandwidthModel(**{field: value})
+
 
 class TestSimulatedMeter:
     def test_mole_constant_bytes_per_step(self):

@@ -255,7 +255,7 @@ class TestProbe:
         # d_head): 16 at the toy configs' d_head, 32 and 64 at paper sizes
         probed = []
 
-        def spy(a, b, lead):
+        def spy(a, b):
             probed.append(b.shape)
             return matmul_sequential(a, b)  # row-invariant, so every shape is visited
 

@@ -196,7 +196,7 @@ class TestMoeLayer:
     def _dense_eval_oracle(self, layer, x):
         """Evaluate ALL experts, mask to the top-k, mix with softmax gates."""
         cfg = layer.cfg
-        hn = rmsnorm(x, layer.norm_gain("post_attn_norm"), RMS_EPS)
+        hn = rmsnorm(x, layer.post_attn_norm, RMS_EPS)
         out = x.copy().astype(np.float64)
         b, t, _ = x.shape
         for bi in range(b):
@@ -207,7 +207,7 @@ class TestMoeLayer:
                 sel = np.sort(order)
                 gates = softmax(scores[sel])
                 for g, j in zip(gates, sel):
-                    w1, b1, w2, b2 = layer.expert(int(j))
+                    w1, b1, w2, b2 = layer.experts[int(j)]
                     y = ffn_forward(hn[bi, ti][None, :], w1, b1, w2, b2)[0]
                     out[bi, ti] += g * y.astype(np.float64)
         return out
@@ -218,8 +218,8 @@ class TestMoeLayer:
         x = rng.standard_normal((1, 3, p.cfg.d)).astype(np.float32)
         lv = p.layer(0)
         got, _ = moe_layer_forward(lv, x, lv.router.T)
-        hn = rmsnorm(x, lv.norm_gain("post_attn_norm"), RMS_EPS)
-        w1, b1, w2, b2 = lv.expert(0)
+        hn = rmsnorm(x, lv.post_attn_norm, RMS_EPS)
+        w1, b1, w2, b2 = lv.experts[0]
         want = x + ffn_forward(hn, w1, b1, w2, b2)
         assert np.max(np.abs(got - want)) < 1e-6
 
@@ -255,7 +255,7 @@ class TestMoeLayer:
         x = rng.standard_normal((3, 4, p.cfg.d)).astype(np.float32)
         lv = p.layer(0)
         _, sel = moe_layer_forward(lv, x, lv.router.T)
-        hn = rmsnorm(x, lv.norm_gain("post_attn_norm"), RMS_EPS)
+        hn = rmsnorm(x, lv.post_attn_norm, RMS_EPS)
         _, want, _ = route(lv.router.T, hn, "moe", p.cfg.k)
         assert sel.shape == (3, 4, p.cfg.k)
         assert np.array_equal(sel, want)
@@ -268,13 +268,13 @@ def moe_layer_by_expert(layer, x, router):
     hidden rows, and each expert's gated outputs added to its rows, experts
     ascending. Returns (out, sel, per-expert caches)."""
     cfg = layer.cfg
-    hn = rmsnorm(x, layer.norm_gain("post_attn_norm"), RMS_EPS)
+    hn = rmsnorm(x, layer.post_attn_norm, RMS_EPS)
     _, sel, gates = route(router, hn, "moe", cfg.k)
     out = x.copy()
     expert_caches = [{} for _ in range(cfg.N)]
     present = np.flatnonzero(np.bincount(sel.ravel(), minlength=cfg.N)).tolist()
     picks = [np.nonzero(sel == j) for j in present]  # (lane, tok, slot) per expert
-    experts = [layer.expert(j) for j in present]
+    experts = [layer.experts[j] for j in present]
     inps = [hn[lane, tok] for lane, tok, _ in picks]
     pres = [matmul(inp, w1) + b1 for inp, (w1, b1, _, _) in zip(inps, experts)]
     acts = kernels.gelu(np.concatenate(pres))
@@ -312,7 +312,7 @@ class TestMoeLayerGrouping:
         assert got.tobytes() == want.tobytes()
         assert sel.dtype == want_sel.dtype and sel.tobytes() == want_sel.tobytes()
         if tie:
-            scores = rmsnorm(x, lv.norm_gain("post_attn_norm"), RMS_EPS) @ lv.router.T
+            scores = rmsnorm(x, lv.post_attn_norm, RMS_EPS) @ lv.router.T
             assert np.array_equal(scores[..., 1], scores[..., 3])
         assert len(cache["experts"]) == p.cfg.N
         for ec, want_ec in zip(cache["experts"], want_caches):
@@ -360,7 +360,7 @@ class TestMoleLayer:
         e = rng.standard_normal((1, 3, p.cfg.d)).astype(np.float32)
         lv = p.layer(0)
         got = mole_train_form(lv, x, e)
-        hn = rmsnorm(x, lv.norm_gain("post_attn_norm"), RMS_EPS)
+        hn = rmsnorm(x, lv.post_attn_norm, RMS_EPS)
         want = x + ffn_forward(hn, lv.shared_w1, lv.shared_b1, lv.shared_w2, lv.shared_b2)
         assert np.max(np.abs(got - want)) < 1e-7
 
@@ -373,7 +373,7 @@ class TestMoleLayer:
         lv = p.layer(0)
         got = mole_train_form(lv, x, e)
         rows = mole_expert_rows(lv, e)
-        hn = rmsnorm(x, lv.norm_gain("post_attn_norm"), RMS_EPS)
+        hn = rmsnorm(x, lv.post_attn_norm, RMS_EPS)
         shared = ffn_forward(hn, lv.shared_w1, lv.shared_b1, lv.shared_w2, lv.shared_b2)
         assert np.max(np.abs(got - (x + shared + rows[0]))) < 1e-7
 
@@ -385,15 +385,15 @@ class TestMoleLayer:
         lv = p.layer(0)
         got = mole_train_form(lv, x, e)
         # independent: per position, per expert, double precision mixing
-        hn = rmsnorm(x, lv.norm_gain("post_attn_norm"), RMS_EPS)
-        en = rmsnorm(e, lv.norm_gain("expert_norm"), RMS_EPS)
+        hn = rmsnorm(x, lv.post_attn_norm, RMS_EPS)
+        en = rmsnorm(e, lv.expert_norm, RMS_EPS)
         shared = ffn_forward(hn, lv.shared_w1, lv.shared_b1, lv.shared_w2, lv.shared_b2)
         want = (x + shared).astype(np.float64)
         for t in range(3):
             scores = np.array([float(hn[0, t] @ lv.router[j]) for j in range(p.cfg.N)])
             gates = softmax(scores)
             for j in range(p.cfg.N):
-                w1, b1, w2, b2 = lv.expert(j)
+                w1, b1, w2, b2 = lv.experts[j]
                 y = ffn_forward(en[0, t][None, :], w1, b1, w2, b2)[0]
                 want[0, t] += gates[j] * y.astype(np.float64)
         assert np.max(np.abs(got - want)) < 1e-5
@@ -419,7 +419,7 @@ class TestMoleLayer:
         rows = np.stack([r1, r2])
         lv = p.layer(0)
         got = mole_layer_forward(lv, x, rows, lv.router.T)
-        hn = rmsnorm(x, lv.norm_gain("post_attn_norm"), RMS_EPS)
+        hn = rmsnorm(x, lv.post_attn_norm, RMS_EPS)
         shared = ffn_forward(hn, lv.shared_w1, lv.shared_b1, lv.shared_w2, lv.shared_b2)
         want = x + shared + (r1 + r2) / 2.0
         assert np.max(np.abs(got - want)) < 1e-6
@@ -457,15 +457,23 @@ class TestModelForward:
         assert np.array_equal(base[0, :3], pert[0, :3])
 
     @pytest.mark.parametrize("kernel", [kernels.TILED, kernels.SEQUENTIAL])
-    @pytest.mark.parametrize("ids", [[[2, 7, 1, 8, 2, 8]],
-                                     [[2, 7, 1, 8, 2, 8], [3, 1, 4, 1, 5, 9]],
-                                     np.random.default_rng(40).integers(0, 61, (2, 40))],
-                             ids=["one_sequence", "batch_of_two", "two_of_40"])
-    def test_prefill_decode_equivalence_full_model(self, monkeypatch, kernel, ids):
+    @pytest.mark.parametrize("ids, prompts", [
+        ([[2, 7, 1, 8, 2, 8]], None),
+        ([[2, 7, 1, 8, 2, 8], [3, 1, 4, 1, 5, 9]], None),
+        (np.random.default_rng(40).integers(0, 61, (2, 40)), None),
+        (np.random.default_rng(41).integers(0, 61, (1, 20)), [13]),
+        (np.random.default_rng(42).integers(0, 61, (32, 40)), np.arange(3, 35))],
+        ids=["one_sequence", "batch_of_two", "two_of_40", "one_lane_after_prompt",
+             "32_ragged_lanes"])
+    def test_prefill_decode_equivalence_full_model(self, monkeypatch, kernel, ids, prompts):
         """Training, prefill and token-by-token decode run one attention
         core: the bits agree, for each sequence of a batch too. Past
         ``KEY_BLOCK`` tokens, training and prefill score a tile plan and
-        decode the dense grid, so the 40-token batch checks both plans."""
+        decode the dense grid, so the 40-token batch checks both plans.
+        With ``prompts``, lane b first prefills its first ``prompts[b]``
+        tokens, then all lanes step one row each, at ragged positions that
+        cross key-block boundaries (13..19 for the one lane, 3..39 for the
+        32 lanes)."""
         monkeypatch.setattr(kernels, "_backends", {np.dtype(np.float32): kernel})
         ids = np.array(ids)
         max_seq = 48 if ids.shape[1] > KEY_BLOCK else 16
@@ -475,9 +483,20 @@ class TestModelForward:
             assert full.tobytes() == lane_logits(p, ids).tobytes(), p.cfg.variant
             state = init_decode_state(p, len(ids), ids.shape[1])
             ones = np.ones(len(ids), dtype=np.int64)
-            rows = [forward_lanes(p, col, ones, state) for col in ids.T]
-            stepped = np.stack(rows, axis=1)
-            assert stepped.tobytes() == full.tobytes(), p.cfg.variant
+            if prompts is None:
+                rows = [forward_lanes(p, col, ones, state) for col in ids.T]
+                stepped = np.stack(rows, axis=1)
+                assert stepped.tobytes() == full.tobytes(), p.cfg.variant
+                continue
+            first = forward_tokens(p, [row[:n] for row, n in zip(ids, prompts)], state)
+            steps = ids.shape[1] - max(prompts)
+            rows = [forward_lanes(p, ids[np.arange(len(ids)), np.add(prompts, s)], ones, state)
+                    for s in range(steps)]
+            ends = np.cumsum(prompts)
+            for b, n in enumerate(prompts):
+                assert first[ends[b] - n : ends[b]].tobytes() == full[b, :n].tobytes()
+                stepped = np.stack([r[b] for r in rows])
+                assert stepped.tobytes() == full[b, n : n + steps].tobytes(), (p.cfg.variant, b)
 
     def test_forward_lanes_checks_lanes_and_capacity(self):
         p = tiny_dense()
@@ -726,6 +745,8 @@ class TestUniqueIdExperts:
 
 class TestRotaryTablesOncePerForward:
     def test_one_table_build_per_forward(self, monkeypatch):
+        """A ``DecodeState`` builds the tables once, and its forwards gather
+        from them."""
         calls = []
         real = model.rotary_tables
         monkeypatch.setattr(model, "rotary_tables",
@@ -733,5 +754,56 @@ class TestRotaryTablesOncePerForward:
         p = tiny_mole(L=3)
         model_forward(p, np.array([[1, 2, 3], [4, 5, 6]]))
         assert len(calls) == 1
-        forward_lanes(p, np.array([1, 2, 3]), np.array([2, 1]), init_decode_state(p, 2, 4))
+        state = init_decode_state(p, 2, 4)
+        forward_lanes(p, np.array([1, 2, 3]), np.array([2, 1]), state)
         assert len(calls) == 2
+        forward_lanes(p, np.array([4, 5]), np.array([1, 1]), state)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_state_rows_are_rotary_tables_at_every_slot(self, dtype):
+        """The state's rows cover every arena slot, past ``max_seq`` too, and
+        each is the bytes ``rotary_tables`` gives that position alone or
+        among others."""
+        p = tiny_mole(max_seq=16)
+        if dtype == np.float64:
+            p = model.ModelParams(p.cfg, {k: v.astype(dtype) for k, v in p.tensors.items()})
+        state = init_decode_state(p, 2, p.cfg.max_seq + 21)
+        slots = state.v[0].shape[2]
+        assert slots == 48 and len(state.cos) == len(state.sin) == slots
+        cfg = p.cfg
+        for pos in range(slots):
+            cos, sin = rotary_tables(np.array([[pos]]), cfg.d_head, cfg.rotary_fraction, dtype)
+            assert state.cos[pos].tobytes() == cos[0, 0].tobytes(), pos
+            assert state.sin[pos].tobytes() == sin[0, 0].tobytes(), pos
+        grid = np.arange(slots).reshape(3, KEY_BLOCK)[::-1]
+        cos, sin = rotary_tables(grid, cfg.d_head, cfg.rotary_fraction, dtype)
+        assert state.cos[grid].tobytes() == cos.tobytes()
+        assert state.sin[grid].tobytes() == sin.tobytes()
+
+
+class TestStateLayers:
+    @pytest.mark.parametrize("make", [tiny_dense, tiny_moe, tiny_mole])
+    def test_layers_hold_the_params_own_arrays(self, make):
+        """Each resolved layer holds the params' arrays themselves, in
+        ``param_names`` order; the routers beside them are row-major copies."""
+        p = make()
+        state = init_decode_state(p, 1, 4)
+        assert state.layers == []
+        forward_tokens(p, [np.array([1, 2])], state)
+        layers = state.layers
+        forward_tokens(p, [np.array([3])], state)
+        assert state.layers is layers and len(layers) == p.cfg.L
+        for i, lv in enumerate(layers):
+            held = [lv.input_norm, lv.attn_wqkv, lv.attn_bqkv, lv.attn_wo, lv.attn_bo,
+                    lv.post_attn_norm]
+            if p.cfg.has_shared:
+                held += [lv.shared_w1, lv.shared_b1, lv.shared_w2, lv.shared_b2]
+            if p.cfg.has_experts:
+                held += [lv.router] + ([lv.expert_norm] if p.cfg.variant == "mole" else [])
+                held += [t for expert in lv.experts for t in expert]
+                assert not np.shares_memory(state.routers[i], lv.router)
+            names = [n for n in model.param_names(p.cfg) if n.startswith(f"layers.{i}.")]
+            assert len(held) == len(names)
+            for name, array in zip(names, held):
+                assert array is p.tensors[name], name

@@ -20,11 +20,15 @@ float32, from seeded weights of the toy configs in ``configs/``:
   ``mole-train`` and ``moe-offload`` runtimes, and for the two mole
   runtimes, and for toy-moe at 1 and at 32 lanes, every logits row such a
   decode picks from (prefill and steps, through ``model.forward_tokens``),
-  which a stream seldom shows.
+  which a stream seldom shows;
+- ``long``: one-lane decodes past ``max_seq`` (a 60-token prompt and 8
+  steps, positions 0..67, across a key-block boundary) of toy-moe on the
+  ``moe-offload`` runtime and of toy-dense: the stream, the meter and every
+  logits row.
 
 Every group runs under ``kernels.TILED`` and then ``kernels.SEQUENTIAL``,
-forced whatever the local BLAS probe would pick: 2 x 31 lines. A run takes
-about 7 s on a 2-core host.
+forced whatever the local BLAS probe would pick: 2 x 37 lines. A run takes
+about 8 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -144,13 +148,25 @@ def decode_digests(workdir: Path):
                                                   for r in result.meter.records]))
 
 
+def long_digests():
+    rng = np.random.default_rng(SEED)
+    for name, runtime in (("moe", "moe-offload"), ("dense", "dense")):
+        params, _, _ = toy(name, SEED)
+        prompt = rng.integers(0, params.cfg.vocab, size=60)
+        result = engine.greedy_decode(params, [prompt], 8, runtime, seed=SEED)
+        yield f"long.{runtime}.stream", sha(result.ids)
+        yield f"long.{runtime}.meter", sha(repr([dataclasses.astuple(r)
+                                                for r in result.meter.records]))
+        yield f"long.{runtime}.logits", step_logits(params, [prompt], 8, "train_form")
+
+
 def main() -> None:
     for kernel in (kernels.TILED, kernels.SEQUENTIAL):
         kernels._backends.clear()
         kernels._backends[np.dtype(np.float32)] = kernel
         with tempfile.TemporaryDirectory() as tmp:
             for group in (train_digests(), adam_digests(), verify_digests(Path(tmp)),
-                          decode_digests(Path(tmp))):
+                          decode_digests(Path(tmp)), long_digests()):
                 for artifact, digest in group:
                     print(f"{kernel} {artifact} {digest}", flush=True)
     kernels._backends.clear()
