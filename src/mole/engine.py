@@ -23,11 +23,11 @@ layer, a key arena and a value arena shared by all lanes, plus each lane's
 length, the rotary rows of every slot and each layer's resolved tensors,
 made once per decode). Row-wise work runs once over all rows, and the
 attention core once over all lanes; its gemms have fixed shapes and its
-padding adds exact zeros. A step's one row per lane takes the core's
-one-row grid: no query padding, one score max per lane. Each lane therefore
-gets the bits it gets decoding alone, and those of the training-form
-forward over its tokens, and the meter is what the lanes would be charged
-alone.
+padding adds exact zeros. A prefill scores the core's tile plan (unless
+every prompt is one token), and a step of one row per lane its one-row
+grid: no query padding, one score max per lane. Each lane therefore gets
+the bits it gets decoding alone, and those of the training-form forward
+over its tokens, and the meter is what the lanes would be charged alone.
 
 One link model (``BandwidthModel``) prices every step's transfer time.
 Plus a model-free bandwidth simulator (uniform-random routing) for shapes
@@ -241,13 +241,13 @@ def greedy_decode(
     state = init_decode_state(params, lanes, max(lens) + steps)
     cache_states = make_cache_states(cfg, lanes, seed) if runtime == "moe-offload" else None
     mole_lut = runtime == "mole-lut"
-    form = "lut_form" if mole_lut else "train_form"
+    source = lut if mole_lut else None
     lut_row_elements = cfg.N * cfg.d * cfg.L  # per token, when rows come from the table
 
     # prefill: every prompt in one packed forward; a lane's next token comes
     # from its last row
     before = lut.bytes_read if mole_lut else 0
-    logits = forward_tokens(params, prompts, state, form=form, lut=lut)
+    logits = forward_tokens(params, prompts, state, lut=source)
     current = greedy_pick(logits[np.cumsum(lens) - 1])
     meter.add(-1, lanes, sum(lens) * lut_row_elements if mole_lut else 0, 0,
               nbytes=lut.bytes_read - before if mole_lut else 0)
@@ -259,7 +259,7 @@ def greedy_decode(
         ids[:, step] = current
         before = lut.bytes_read if mole_lut else 0
         sel: list[np.ndarray] | None = [] if runtime == "moe-offload" else None
-        logits = forward_lanes(params, current, ones, state, form=form, lut=lut, moe_sel=sel)
+        logits = forward_lanes(params, current, ones, state, lut=source, moe_sel=sel)
         if mole_lut:
             meter.add(step, lanes, lanes * lut_row_elements, 0, nbytes=lut.bytes_read - before)
         elif sel is not None:

@@ -56,7 +56,7 @@ SEQUENTIAL = "sequential"
 # axes, N == 1, which numpy sends to gemv rather than gemm, and the two
 # gemms of the attention core, (d_head, 16) and (16, d_head), at d_head 16
 # (the toy configs), 32 and 64 (paper-sized heads). The core's padding
-# invariance, and the bit equality of its dense grid and tile plan
+# invariance, and the bit equality of its one-row grid and tile plan
 # (``model._attend_lanes``), rest on this row invariance. That core serves
 # every forward: training and the float64 gradient check as well as
 # prefill, decode and verification.

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -53,6 +54,10 @@ INIT_STD = 0.02
 # Key positions per block of the attention core (``_attend_lanes``); KV
 # arenas hold whole blocks.
 KEY_BLOCK = 16
+# Key column j minus query row i of a (KEY_BLOCK, KEY_BLOCK) score tile: a
+# tile whose first query lies ``off`` positions past its first key hides
+# the entries where this exceeds ``off``.
+_KEY_AHEAD = np.arange(KEY_BLOCK) - np.arange(KEY_BLOCK)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +264,13 @@ def attention_forward(
     key arena (lanes, H, blocks, d_head, KEY_BLOCK), stored as transposed
     key blocks, its value arena (lanes, H, blocks * KEY_BLOCK, d_head) and
     the step's ``PackedStep`` (which lane owns each row, where it goes, and
-    which query/key tiles to score: the dense grid, or a tile plan that
-    skips key blocks wholly after a query chunk). One fixed-split core
-    writes the new keys and values and attends every lane over its own
-    prefix, with bits that do not depend on padding or on the plan
-    (``_attend_lanes``), so a lane gets the bits it gets alone, in training,
-    prefill, decode and verification alike. ``cache`` receives what
-    backprop needs.
+    which query/key tiles to score: the one-row grid of a decode step, or a
+    tile plan that skips key blocks wholly after a query chunk). One
+    fixed-split core writes the new keys and values and attends every lane
+    over its own prefix, with bits that do not depend on padding or on the
+    plan (``_attend_lanes``), so a lane gets the bits it gets alone, in
+    training, prefill, decode and verification alike. ``cache`` receives
+    what backprop needs.
     """
     cfg = layer.cfg
     b, t, d = x.shape
@@ -294,27 +299,25 @@ def _attend_lanes(q, k_, v, keys, vals, step, scale, cache=None):
     ``keys`` (lanes, H, blocks, d_head, KEY_BLOCK) holds each block of
     ``KEY_BLOCK`` positions transposed, the row-major operand the scores
     ``matmul`` reads, so neither plan copies a key; ``vals`` (lanes, H,
-    blocks * KEY_BLOCK, d_head) is read as blocks in place. New queries are
-    zero-padded per lane to the step's largest new count (to whole
-    ``KEY_BLOCK`` chunks under a tile plan), and the arenas are read as far
-    as the longest lane reaches. ``step`` says which (query rows, key block)
-    tiles to score:
-    - the dense grid (``step.tiles`` is None; at most ``KEY_BLOCK`` new rows
-      per lane, as in every decode step): every lane's padded queries
-      against every block, one ``matmul`` over (lanes, H, blocks);
-    - a tile plan (``TilePlan``; some lane brings more rows): for each
-      (lane, chunk of ``KEY_BLOCK`` query rows), only the blocks up to the
-      one holding the chunk's last position, stacked into one ``matmul``
-      over (tiles, H).
+    blocks * KEY_BLOCK, d_head) is read as blocks in place, as far as the
+    longest lane reaches. ``step`` says which (query rows, key block) tiles
+    to score:
+    - the one-row grid (``step.tiles`` is None; one new row per lane, as in
+      every decode step): each lane's query against every block, one
+      ``matmul`` over (lanes, H, blocks). It needs no padding: its queries
+      and its merged context are views of ``q`` and of the context, and its
+      score max is one reduce over each lane's ``blocks * KEY_BLOCK``
+      scores;
+    - a tile plan (``TilePlan``; some lane brings more rows): new queries
+      zero-padded per lane to whole ``KEY_BLOCK`` chunks, and for each
+      (lane, chunk), only the blocks up to the one holding the chunk's last
+      position, stacked into one ``matmul`` over (tiles, H); the score max
+      folds block by block and then halves over the keys (``_score_max``).
     Scores are set to ``-inf`` past each query's position; their max over
-    the scored blocks is exact: folded block by block and then halved over
-    the keys (``_score_max``), or, when every lane brings one row (a decode
-    step), one reduce over each lane's ``blocks * KEY_BLOCK`` scores. That
-    one-row grid needs no padding: its queries and its merged context are
-    views of ``q`` and of the context. Each block's denominator sums exactly
+    the scored blocks is exact. Each block's denominator sums exactly
     ``KEY_BLOCK`` exponentials, ``e @ V`` is one more ``matmul``, and the
     block partials are added in ascending block order into accumulators
-    that start at ``+0.0``, then divided once. ``cache`` receives the padded
+    that start at ``+0.0``, then divided once. ``cache`` receives the
     queries (lanes, H, n, d_head) and the probabilities (lanes, H, n, blocks
     * KEY_BLOCK), zero on unscored tiles, which backprop reads.
 
@@ -334,44 +337,36 @@ def _attend_lanes(q, k_, v, keys, vals, step, scale, cache=None):
                          f"value slots do not hold whole blocks of {KEY_BLOCK} slots")
     keys[step.lane, :, step.block, :, step.slot] = k_.reshape(-1, h, dh)
     vals[step.lane, :, step.pos] = v.reshape(-1, h, dh)
-    blocks, n, tiles = step.blocks, step.rows, step.tiles
+    blocks = step.blocks
     kb = keys[:, :, :blocks]
     vb = vals[:, :, : blocks * KEY_BLOCK].reshape(lanes, h, blocks, KEY_BLOCK, dh)
     out_shape = q.shape[:2] + (h * dh,)
-    if n == 1:
-        # one row per lane, lane by lane: row r is lane r's only query
-        qp = q.reshape(lanes, h, 1, dh)
-    else:
-        padded = n if tiles is None else tiles.chunks * KEY_BLOCK
-        qp = np.zeros((lanes, h, padded, dh), dtype=q.dtype)
+    if step.tiles is not None:
+        qp = np.zeros((lanes, h, step.tiles.chunks * KEY_BLOCK, dh), dtype=q.dtype)
         qp[step.lane, :, step.row] = q.reshape(-1, h, dh)
-        if tiles is not None:
-            return _attend_tiles(qp, kb, vb, step, scale, cache, out_shape)
-    # fewer than TILE_ROWS rows come back as a view of the padded gemm tiles;
-    # the scaled scores are a packed copy, over which the elementwise steps
-    # below and the next gemm's padding run several times faster
-    e = matmul(qp[:, :, None], kb) * scale  # scores (lanes, H, blocks, n, KEY_BLOCK)
+        return _attend_tiles(qp, kb, vb, step, scale, cache, out_shape)
+    # one row per lane, lane by lane: row r is lane r's only query
+    qp = q.reshape(lanes, h, 1, dh)
+    # the scores come back as a view of the padded gemm tiles; the scaled
+    # scores are a packed copy, over which the elementwise steps below and
+    # the next gemm's padding run several times faster
+    e = matmul(qp[:, :, None], kb) * scale  # scores (lanes, H, blocks, 1, KEY_BLOCK)
     np.copyto(e, q.dtype.type(-np.inf), where=step.hidden)
-    if n == 1:
-        flat = e.reshape(lanes, h, blocks * KEY_BLOCK)
-        flat -= np.maximum.reduce(flat, axis=-1, keepdims=True)
-    else:
-        e -= _score_max(e[:, :, blk] for blk in range(blocks))[:, :, None]
+    flat = e.reshape(lanes, h, blocks * KEY_BLOCK)
+    flat -= np.maximum.reduce(flat, axis=-1, keepdims=True)
     np.exp(e, out=e)
     den_parts = np.add.reduce(e, axis=-1, keepdims=True)
     ctx_parts = matmul(e, vb)
-    den = np.zeros((lanes, h, n, 1), dtype=q.dtype)
-    ctx = np.zeros((lanes, h, n, dh), dtype=q.dtype)
+    den = np.zeros((lanes, h, 1, 1), dtype=q.dtype)
+    ctx = np.zeros((lanes, h, 1, dh), dtype=q.dtype)
     for blk in range(blocks):
         den += den_parts[:, :, blk]
         ctx += ctx_parts[:, :, blk]
     ctx /= den
     if cache is not None:
         probs = (e / den[:, :, None]).transpose(0, 1, 3, 2, 4)
-        cache.update(q=qp, probs=probs.reshape(lanes, h, n, blocks * KEY_BLOCK))
-    if n == 1:
-        return ctx.reshape(out_shape)
-    return ctx[step.lane, :, step.row].reshape(out_shape)
+        cache.update(q=qp, probs=probs.reshape(lanes, h, 1, blocks * KEY_BLOCK))
+    return ctx.reshape(out_shape)
 
 
 def _attend_tiles(qp, kb, vb, step, scale, cache, out_shape):
@@ -389,7 +384,7 @@ def _attend_tiles(qp, kb, vb, step, scale, cache, out_shape):
     # Tiles run block-major, and block b's tiles belong to groups (lane,
     # chunk) 0 .. width[b] - 1, so every per-group reduction below runs over
     # prefixes in ascending block order.
-    ends = np.cumsum(tiles.width).tolist()
+    ends = list(accumulate(tiles.width))
     top = _score_max(e[end - w : end] for end, w in zip(ends, tiles.width))
     e -= top[tiles.group]
     np.exp(e, out=e)
@@ -411,14 +406,14 @@ def _attend_tiles(qp, kb, vb, step, scale, cache, out_shape):
 
 
 def _score_max(parts) -> np.ndarray:
-    """The max of attention scores over key blocks and keys. ``parts`` are
-    the score blocks (g_b, ..., KEY_BLOCK) block by block, whose rows are
-    groups 0 .. g_b - 1 (g_b never rising); returns each group's max (g_0,
-    ..., 1). The blocks fold elementwise, then the keys halve: numpy's max
-    over a 16-wide axis, or over blocks and keys at once, is several times
-    slower than these elementwise maxima, and the max is exact in any order
-    (only the sign of a zero max may differ, which no ``exp(s - max)``
-    sees)."""
+    """The max of a tile plan's attention scores over key blocks and keys.
+    ``parts`` are the score tiles (g_b, H, KEY_BLOCK, KEY_BLOCK) block by
+    block, whose rows are groups 0 .. g_b - 1 (g_b never rising); returns
+    each group's max (g_0, H, KEY_BLOCK, 1). The blocks fold elementwise,
+    then the keys halve: numpy's max over a 16-wide axis, or over blocks and
+    keys at once, is several times slower than these elementwise maxima,
+    and the max is exact in any order (only the sign of a zero max may
+    differ, which no ``exp(s - max)`` sees)."""
     parts = iter(parts)
     top = next(parts).copy()
     for part in parts:
@@ -624,13 +619,12 @@ def model_forward(
         raise ShapeError(f"sequence length {t} exceeds max_seq {params.cfg.max_seq}")
     state = init_decode_state(params, b, t)
     step = pack_lanes(state.lengths, np.full(b, t))
-    return _forward(params, ids, "train_form", None, state, step, cache=cache)
+    return _forward(params, ids, None, state, step, cache=cache)
 
 
 def _forward(
     params: ModelParams,
     ids: np.ndarray,
-    form: str,
     lut,
     state: DecodeState,
     step: PackedStep,
@@ -643,20 +637,16 @@ def _forward(
     (1, R) block or as (B, T) for B lanes of T rows each. Each layer's
     attention writes into the state's arenas (see ``attention_forward``).
 
-    ``form`` selects the mole expert path: "train_form" runs the expert FFNs
-    on the embedding rows of the distinct ids; "lut_form" fetches
-    pre-computed rows from ``lut`` (a row source: prefetch(layer, ids) and
-    await_rows(ticket)), prefetched for every id at layer entry and awaited
-    inside the expert sub-layer. Dense and moe ignore ``form``.
+    ``lut`` selects the mole expert path: None runs the expert FFNs on the
+    embedding rows of the distinct ids (the train form); a row source
+    (prefetch(layer, ids) and await_rows(ticket)) serves pre-computed table
+    rows (the LUT form), prefetched for every id at layer entry and awaited
+    inside the expert sub-layer. Dense and moe ignore ``lut``.
     """
-    if form not in ("train_form", "lut_form"):
-        raise ValueError(f"unknown form {form!r}")
     cfg = params.cfg
-    mole_lut = cfg.variant == "mole" and form == "lut_form"
-    if mole_lut and lut is None:
-        raise ValueError("lut_form forward for a mole model needs a lut handle")
+    mole_lut = cfg.variant == "mole" and lut is not None
     if cfg.variant == "mole" and not mole_lut and params.inference_form:
-        raise ValueError("train_form forward needs the routed expert tensors")
+        raise ValueError("a mole forward without a row source needs the routed expert tensors")
     x = embed(params, ids)
     flat = ids.reshape(-1)
     row_shape = (cfg.N,) + ids.shape + (cfg.d,)
@@ -774,15 +764,15 @@ def key_rows(keys: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TilePlan:
     """The tiles a step's attention core scores when some lane brings more
-    than ``KEY_BLOCK`` new rows. A group is one (lane, chunk of
-    ``KEY_BLOCK`` query rows); it sees the key blocks up to the one holding
-    its last row's position. Groups are ordered by that reach, farthest
-    first, so the groups seeing block b are groups 0 .. ``width[b]`` - 1.
-    Tile t is group ``group[t]``, that is ``chunk[t]`` of ``lane[t]``,
-    against key block ``block[t]``, listed block by block; ``hidden``
-    (tiles, 1, KEY_BLOCK, KEY_BLOCK) is True where a query must not see the
-    key. Packed row r is query ``row_slot[r]`` of group ``row_group[r]``;
-    ``chunks`` is the most chunks any lane has."""
+    than one new row. A group is one (lane, chunk of ``KEY_BLOCK`` query
+    rows); it sees the key blocks up to the one holding its last row's
+    position. Groups are ordered by that reach, farthest first, so the
+    groups seeing block b are groups 0 .. ``width[b]`` - 1. Tile t is group
+    ``group[t]``, that is ``chunk[t]`` of ``lane[t]``, against key block
+    ``block[t]``, listed block by block; ``hidden`` (tiles, 1, KEY_BLOCK,
+    KEY_BLOCK) is True where a query must not see the key. Packed row r is
+    query ``row_slot[r]`` of group ``row_group[r]``; ``chunks`` is the most
+    chunks any lane has."""
 
     lane: np.ndarray
     chunk: np.ndarray
@@ -801,12 +791,11 @@ class PackedStep:
     core: packed row r is new row ``row[r]`` of lane ``lane[r]``, at position
     ``pos[r]``, where its key and value go: column ``slot[r]`` of key block
     ``block[r]``. The core reads the first ``blocks`` key blocks; ``rows``
-    is the step's largest new count. It scores a dense grid, every lane's
-    padded queries against every block,
-    where ``hidden`` (lanes, 1, blocks, rows, KEY_BLOCK) is True where a
-    lane's new query j must not see the key at that position; or, when
-    ``tiles`` is set, only the tiles of that ``TilePlan`` (``hidden`` is
-    then None)."""
+    is the step's largest new count. A step of one row per lane scores the
+    one-row grid, every lane's query against every block, where ``hidden``
+    (lanes, 1, blocks, 1, KEY_BLOCK) is True where the lane's query must not
+    see the key at that position; any other step scores only the tiles of
+    its ``TilePlan`` ``tiles`` (``hidden`` is then None)."""
 
     lane: np.ndarray
     row: np.ndarray
@@ -821,13 +810,11 @@ class PackedStep:
 
 def pack_lanes(lengths: np.ndarray, counts: np.ndarray) -> PackedStep:
     """The ``PackedStep`` of ``counts[b]`` new rows per lane b, packed lane by
-    lane, after its ``lengths[b]`` cached ones. Up to ``KEY_BLOCK`` rows per
-    lane (every decode step) give the dense grid; more (training and long
-    prefills) give a tile plan that skips the key blocks wholly after a
-    query chunk. Both give every row the same bits (``_attend_lanes``); the
-    rule keeps the plan's set-up cost off one-row steps, where there is
-    little to skip. A step of one row per lane, row r being lane r's, is
-    laid out without the ragged build."""
+    lane, after its ``lengths[b]`` cached ones. A step of one row per lane
+    (every decode step), row r being lane r's, gets the one-row grid, laid
+    out without the ragged build; any other step (training, prefills,
+    verification) gets a tile plan that skips the key blocks wholly after a
+    query chunk. Both give every row the same bits (``_attend_lanes``)."""
     n = int(counts.max())
     if n == 1:
         lane = np.arange(len(counts))
@@ -841,44 +828,37 @@ def pack_lanes(lengths: np.ndarray, counts: np.ndarray) -> PackedStep:
     pos = lengths[lane] + row
     block, slot = np.divmod(pos, KEY_BLOCK)
     blocks = -(-int((lengths + counts).max()) // KEY_BLOCK)
-    if n > KEY_BLOCK:
-        return PackedStep(lane, row, pos, block, slot, blocks, n, None,
-                          _plan_tiles(lengths, counts, lane, row, blocks))
-    key_pos = np.arange(blocks * KEY_BLOCK).reshape(blocks, 1, KEY_BLOCK)
-    query_pos = lengths[:, None] + np.arange(n)
-    hidden = key_pos[None] > query_pos[:, None, :, None]
-    return PackedStep(lane, row, pos, block, slot, blocks, n, hidden[:, None])
+    return PackedStep(lane, row, pos, block, slot, blocks, n, None,
+                      _plan_tiles(lengths, counts, lane, row, blocks))
 
 
 def _plan_tiles(lengths, counts, lane, row, blocks) -> TilePlan:
     """The ``TilePlan`` of ``pack_lanes``'s step (``lane``/``row`` of each
     packed row, ``blocks`` key blocks)."""
-    chunks = -(-counts // KEY_BLOCK)
+    chunks = (counts + KEY_BLOCK - 1) // KEY_BLOCK
     g_lane = np.repeat(np.arange(len(counts)), chunks)
     first = np.cumsum(chunks) - chunks
     g_chunk = np.arange(g_lane.size) - first[g_lane]
-    last_row = np.minimum((g_chunk + 1) * KEY_BLOCK, counts[g_lane]) - 1
-    reach = (lengths[g_lane] + last_row) // KEY_BLOCK
-    # Rank the groups by reach, farthest first, by counting: a stable
-    # argsort pages in sort code that nothing else runs, raising peak RSS.
+    start = lengths[g_lane] + g_chunk * KEY_BLOCK  # each group's first position
+    reach = (np.minimum(start + KEY_BLOCK, (lengths + counts)[g_lane]) - 1) // KEY_BLOCK
+    # Rank the groups by reach, farthest first, ties by index: the one-hot
+    # reach rows read from the last block down. A stable argsort pages in
+    # sort code that nothing else runs, raising peak RSS.
     sees = reach[:, None] == np.arange(blocks)
-    hist = np.count_nonzero(sees, axis=0)
-    width = np.cumsum(hist[::-1])[::-1]
-    rank = (width - hist)[reach] + np.cumsum(sees, axis=0)[np.arange(reach.size), reach] - 1
-    order = np.empty_like(rank)
-    order[rank] = np.arange(rank.size)
-    group = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
-    block = np.repeat(np.arange(blocks), width)
-    t_lane, t_chunk = g_lane[order][group], g_chunk[order][group]
-    query_pos = (lengths[t_lane] + t_chunk * KEY_BLOCK)[:, None] + np.arange(KEY_BLOCK)
-    key_pos = (block * KEY_BLOCK)[:, None] + np.arange(KEY_BLOCK)
-    hidden = key_pos[:, None, :] > query_pos[:, :, None]
-    return TilePlan(t_lane, t_chunk, block, group, hidden[:, None], tuple(width.tolist()),
-                    rank[first[lane] + row // KEY_BLOCK], row % KEY_BLOCK, int(chunks.max()))
+    order = np.nonzero(sees.T[::-1])[1]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    width = np.cumsum(np.bincount(reach, minlength=blocks)[::-1])[::-1]
+    block, group = np.nonzero(np.arange(order.size) < width[:, None])
+    of_tile = order[group]
+    hidden = _KEY_AHEAD > (start[of_tile] - block * KEY_BLOCK)[:, None, None, None]
+    row_chunk, row_slot = np.divmod(row, KEY_BLOCK)
+    return TilePlan(g_lane[of_tile], g_chunk[of_tile], block, group, hidden,
+                    tuple(width.tolist()), rank[first[lane] + row_chunk], row_slot,
+                    int(chunks.max()))
 
 
-def forward_tokens(params: ModelParams, ids: list, state: DecodeState,
-                   form: str = "train_form", lut=None,
+def forward_tokens(params: ModelParams, ids: list, state: DecodeState, lut=None,
                    collect_hidden: list | None = None) -> np.ndarray:
     """Prefill: pack every lane's tokens ``ids[b]`` (a prompt, or any
     non-empty run of new tokens) lane by lane and run them through
@@ -886,8 +866,7 @@ def forward_tokens(params: ModelParams, ids: list, state: DecodeState,
     ids = [np.ravel(np.asarray(t)) for t in ids]
     counts = np.array([t.size for t in ids], dtype=np.int64)
     packed = np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
-    return forward_lanes(params, packed, counts, state, form=form, lut=lut,
-                         collect_hidden=collect_hidden)
+    return forward_lanes(params, packed, counts, state, lut=lut, collect_hidden=collect_hidden)
 
 
 def forward_lanes(
@@ -895,7 +874,6 @@ def forward_lanes(
     ids: np.ndarray,
     counts: np.ndarray,
     state: DecodeState,
-    form: str = "train_form",
     lut=None,
     moe_sel: list | None = None,
     collect_hidden: list | None = None,
@@ -911,10 +889,11 @@ def forward_lanes(
     runs once over all rows, and the attention core once over all lanes.
     ``matmul`` fixes each row's reduction whatever the row count, and the
     core's padding adds exact zeros, so each lane gets the bits it gets
-    alone. Training runs the same loop (``model_forward``). ``moe_sel`` (a
-    list) receives each moe layer's top-k selection (R, k), in layer order,
-    and ``collect_hidden`` (a list) each block's output (1, R, d), which
-    equivalence localization compares.
+    alone. Training runs the same loop (``model_forward``). ``lut``, a row
+    source, serves a mole model's table rows (see ``_forward``). ``moe_sel``
+    (a list) receives each moe layer's top-k selection (R, k), in layer
+    order, and ``collect_hidden`` (a list) each block's output (1, R, d),
+    which equivalence localization compares.
     """
     ids, counts = np.asarray(ids), np.asarray(counts)
     if len(counts) != len(state.lengths):
@@ -927,7 +906,7 @@ def forward_lanes(
     if np.any(state.lengths + counts > state.capacity):
         raise ShapeError("decode state capacity exceeded")
     step = pack_lanes(state.lengths, counts)
-    logits = _forward(params, ids[None, :], form, lut, state, step,
+    logits = _forward(params, ids[None, :], lut, state, step,
                       collect_hidden=collect_hidden, moe_sel=moe_sel)
     state.lengths += counts
     return logits[0]

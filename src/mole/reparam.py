@@ -36,9 +36,10 @@ from .model import (
 )
 
 # Elements (2**20, 4 MiB of fp32) that one packed verify prefill may hold in
-# the attention core's score tensor (lanes x H x longest x slots) or in its
-# logits (rows x vocab); prompts are grouped to stay within it. The
-# prefill's other activations take several times as much again.
+# the attention core's scores (the tiles of its plan, H x KEY_BLOCK x
+# KEY_BLOCK each) or in its logits (rows x vocab); prompts are grouped to
+# stay within it. The prefill's other activations take several times as
+# much again.
 VERIFY_GROUP_ELEMENTS = 1 << 20
 
 
@@ -197,21 +198,20 @@ def verify_equivalence(
 def _prompt_groups(cfg, lengths: list[int]) -> list[range]:
     """Consecutive prompt index ranges whose packed prefill holds at most
     ``VERIFY_GROUP_ELEMENTS`` score or logit elements (a lone prompt always
-    forms a group). Scores are counted on the attention core's dense grid
-    (lanes x H x longest x slots); a prefill past ``KEY_BLOCK`` rows per
-    lane scores only the tiles of its plan, so the count is an upper bound."""
-    def elements(lanes, longest, rows):
-        slots = -(-longest // KEY_BLOCK) * KEY_BLOCK
-        return max(lanes * cfg.n_heads * longest * slots, rows * cfg.vocab)
-
+    forms a group). Scores are counted as the tile plan scores them from an
+    empty state: query chunk j of a prompt sees key blocks 0 .. j, so a
+    prompt of c chunks scores c (c + 1) / 2 tiles. A group of one-token
+    prompts scores the one-row grid instead, a sixteenth of that."""
+    tile = cfg.n_heads * KEY_BLOCK * KEY_BLOCK
     groups: list[range] = []
-    start = longest = rows = 0
+    start = tiles = rows = 0
     for i, n in enumerate(lengths):
-        grown = elements(i - start + 1, max(longest, n), rows + n)
-        if i > start and grown > VERIFY_GROUP_ELEMENTS:
+        chunks = -(-n // KEY_BLOCK)
+        own = chunks * (chunks + 1) // 2
+        if i > start and max((tiles + own) * tile, (rows + n) * cfg.vocab) > VERIFY_GROUP_ELEMENTS:
             groups.append(range(start, i))
-            start, longest, rows = i, 0, 0
-        longest, rows = max(longest, n), rows + n
+            start, tiles, rows = i, 0, 0
+        tiles, rows = tiles + own, rows + n
     groups.append(range(start, len(lengths)))
     return groups
 
@@ -221,10 +221,10 @@ def _prefill_both(params, inference_params, lut, lanes, ref_hidden=None, got_hid
     in the LUT form, each over a fresh ``DecodeState``."""
     longest = max(p.size for p in lanes)
     ref = forward_tokens(params, lanes, init_decode_state(params, len(lanes), longest),
-                         form="train_form", collect_hidden=ref_hidden)
+                         collect_hidden=ref_hidden)
     got = forward_tokens(inference_params, lanes,
                          init_decode_state(inference_params, len(lanes), longest),
-                         form="lut_form", lut=lut, collect_hidden=got_hidden)
+                         lut=lut, collect_hidden=got_hidden)
     return ref, got
 
 

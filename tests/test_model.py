@@ -47,12 +47,13 @@ def attend(p, x, state=None, i=0):
     return attention_forward(p.layer(i), x, rotary, (state.k[i], state.v[i], step))
 
 
-def lane_logits(p, ids, form="train_form", lut=None):
+def lane_logits(p, ids, lut=None):
     """``forward_tokens`` over the rows of ``ids`` (B, T) as B lanes of a
-    fresh ``DecodeState``, as (B, T, vocab)."""
+    fresh ``DecodeState``, with table rows from ``lut`` when it is given, as
+    (B, T, vocab)."""
     ids = np.atleast_2d(ids)
     state = init_decode_state(p, *ids.shape)
-    return forward_tokens(p, list(ids), state, form=form, lut=lut).reshape(ids.shape + (-1,))
+    return forward_tokens(p, list(ids), state, lut=lut).reshape(ids.shape + (-1,))
 
 
 def gate_map(sel, gates):
@@ -435,12 +436,13 @@ class TestMoleLayer:
 
 
 class TestModelForward:
-    def test_dense_forms_identical(self):
-        p = tiny_dense()
+    @pytest.mark.parametrize("make", [tiny_dense, tiny_moe])
+    def test_dense_and_moe_ignore_a_row_source(self, make):
+        """A row source only serves mole table rows: dense and moe never
+        touch it (an ``object()`` has no ``prefetch``) and keep their bits."""
+        p = make()
         ids = np.array([[1, 2, 3]])
-        a = lane_logits(p, ids, form="train_form")
-        b = lane_logits(p, ids, form="lut_form")
-        assert a.tobytes() == b.tobytes()
+        assert lane_logits(p, ids, lut=object()).tobytes() == lane_logits(p, ids).tobytes()
 
     def test_single_token_shape(self):
         p = tiny_mole()
@@ -467,10 +469,10 @@ class TestModelForward:
              "32_ragged_lanes"])
     def test_prefill_decode_equivalence_full_model(self, monkeypatch, kernel, ids, prompts):
         """Training, prefill and token-by-token decode run one attention
-        core: the bits agree, for each sequence of a batch too. Past
-        ``KEY_BLOCK`` tokens, training and prefill score a tile plan and
-        decode the dense grid, so the 40-token batch checks both plans.
-        With ``prompts``, lane b first prefills its first ``prompts[b]``
+        core: the bits agree, for each sequence of a batch too. Training and
+        prefill score a tile plan (6-row plans for one and two sequences of
+        6 tokens) and decode steps the one-row grid, so every case checks
+        both plans. With ``prompts``, lane b first prefills its first ``prompts[b]``
         tokens, then all lanes step one row each, at ragged positions that
         cross key-block boundaries (13..19 for the one lane, 3..39 for the
         32 lanes)."""
@@ -603,14 +605,17 @@ class TestModelForward:
         assert written.tobytes() == k.reshape(-1, h, dh).tobytes()
 
     def test_pack_lanes_scores_only_visible_key_blocks(self):
-        """Past ``KEY_BLOCK`` new rows in some lane, a step lists each (lane,
-        query chunk)'s key blocks up to its last position; otherwise it keeps
-        the dense lanes x blocks grid."""
+        """A step with more than one row in some lane, however few, lists
+        each (lane, query chunk)'s key blocks up to its last position; only
+        a step of one row per lane keeps the lanes x blocks grid."""
         verify = np.linspace(1, 64, 16).round().astype(int)
         for lengths, counts, planned, dense in (
                 (np.zeros(16, int), verify, 80, 256),  # verify's 16 prompts of 1..64
                 (np.zeros(8, int), np.full(8, 48), 48, 72),  # a training batch of 8 x 48
-                (np.array([10, 0]), np.array([20, 33]), 10, 18)):
+                (np.array([10, 0]), np.array([20, 33]), 10, 18),
+                (np.zeros(4, int), np.full(4, 16), 4, 4),  # 2-16 rows per lane: plans too
+                (np.array([0, 7]), np.array([16, 2]), 2, 2),
+                (np.array([3, 30]), np.array([5, 4]), 4, 6)):  # a short step across a block
             step = pack_lanes(lengths, counts)
             tiles = step.tiles
             assert step.hidden is None and len(tiles.block) == planned
@@ -625,43 +630,34 @@ class TestModelForward:
             assert (tiles.lane[:groups][tiles.row_group] == step.lane).all()
             assert (tiles.chunk[:groups][tiles.row_group] == step.row // KEY_BLOCK).all()
             assert (tiles.row_slot == step.row % KEY_BLOCK).all()
-        for lengths, counts in (([0] * 4, [16] * 4), ([3, 40], [1, 1]), ([0, 7], [16, 2])):
-            step = pack_lanes(np.array(lengths), np.array(counts))
-            assert step.tiles is None
-            assert step.hidden.shape == (len(counts), 1, step.blocks, max(counts), KEY_BLOCK)
+        step = pack_lanes(np.array([3, 40]), np.array([1, 1]))
+        assert step.tiles is None and step.blocks == 3
+        assert step.hidden.shape == (2, 1, 3, 1, KEY_BLOCK)
 
-    @pytest.mark.parametrize("n", [1, 5, 16])
+    @pytest.mark.parametrize("n", [2, 5, 16])
     @pytest.mark.parametrize("blocks", [1, 2, 3])
-    def test_score_max_has_the_bytes_of_numpy_max(self, n, blocks):
-        """The dense grid's fold-and-halve max equals ``e.max(axis=(2, 4))``
-        byte for byte on ``-inf``-masked scores, both on the leading rows of
-        padded gemm tiles (a strided view, as ``matmul`` returns them) and on
-        the packed copy the core reads."""
+    def test_score_max_folds_prefix_groups(self, n, blocks):
+        """Under a tile plan block b scores groups 0 .. width[b] - 1: each
+        group's max covers exactly the blocks it has, with the bytes of
+        ``np.max``, on the ``-inf``-masked scores of a real plan of n rows
+        per lane reaching ``blocks`` key blocks, both on the leading columns
+        of wider tiles (a strided view) and on a packed copy."""
         rng = np.random.default_rng(10 * n + blocks)
         last = blocks * KEY_BLOCK - n
         lengths = np.array([0, last, last // 2, max(last - KEY_BLOCK, 0)])
         step = pack_lanes(lengths, np.full(len(lengths), n))
-        assert step.tiles is None and step.blocks == blocks
-        tiles = rng.standard_normal((len(lengths), 4, blocks, KEY_BLOCK, KEY_BLOCK))
-        view = tiles.astype(np.float32)[..., :n, :]
-        np.copyto(view, np.float32(-np.inf), where=step.hidden)
+        tiles = step.tiles
+        assert step.blocks == blocks
+        wide = rng.standard_normal((len(tiles.block), 4, KEY_BLOCK, 2 * KEY_BLOCK))
+        view = wide.astype(np.float32)[..., :KEY_BLOCK]
+        np.copyto(view, np.float32(-np.inf), where=tiles.hidden)
+        ends = np.cumsum(tiles.width)
         for e in (view, view.copy()):
-            got = model._score_max(e[:, :, blk] for blk in range(blocks))
-            want = e.max(axis=(2, 4), keepdims=True)[:, :, 0]
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-    def test_score_max_folds_prefix_groups(self):
-        """Under a tile plan block b scores groups 0 .. width[b] - 1: each
-        group's max covers exactly the blocks it has, as ``np.max`` does."""
-        rng = np.random.default_rng(11)
-        widths = (5, 5, 3, 1)
-        parts = [rng.standard_normal((w, 4, KEY_BLOCK, KEY_BLOCK)).astype(np.float32)
-                 for w in widths]
-        parts[2][0, :, 3, 7:] = -np.inf
-        got = model._score_max(parts)
-        for g in range(widths[0]):
-            seen = np.stack([part[g] for part in parts if g < len(part)])
-            assert got[g].tobytes() == seen.max(axis=(0, 3), keepdims=True)[0].tobytes()
+            got = model._score_max(e[end - w : end] for end, w in zip(ends, tiles.width))
+            assert got.shape == (tiles.width[0], 4, KEY_BLOCK, 1)
+            for g in range(tiles.width[0]):
+                want = e[tiles.group == g].max(axis=(0, 3), keepdims=True)[0]
+                assert got[g].tobytes() == want.tobytes()
 
     def test_attention_arena_must_hold_whole_key_blocks(self):
         p = tiny_dense()
@@ -676,10 +672,12 @@ class TestModelForward:
         with pytest.raises(ShapeError, match="7 value slots .* whole blocks of 16"):
             attend(p, x, state)
 
-    def test_mole_lut_form_requires_handle(self):
-        p = tiny_mole()
-        with pytest.raises(ValueError, match="needs a lut handle"):
-            lane_logits(p, np.array([[1]]), form="lut_form")
+    def test_inference_params_without_a_source_raise(self):
+        from mole.reparam import reparameterize
+
+        infer, _ = reparameterize(tiny_mole())
+        with pytest.raises(ValueError, match="needs the routed expert tensors"):
+            lane_logits(infer, np.array([[1, 2]]))
 
 
 def per_position_logits(p, ids):
@@ -739,7 +737,7 @@ class TestUniqueIdExperts:
         infer, tables = reparameterize(p)
         write_lut(tables, tmp_path / "t.lut", dtype="fp32")
         with open_lut(tmp_path / "t.lut") as lut:
-            lut_logits = lane_logits(infer, ids, form="lut_form", lut=lut)
+            lut_logits = lane_logits(infer, ids, lut=lut)
         assert lut_logits.tobytes() == model_forward(p, ids).tobytes()
 
 

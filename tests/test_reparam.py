@@ -8,10 +8,12 @@ from mole.engine import greedy_decode
 from mole.kernels import ShapeError
 from mole.lut_store import TicketError, open_lut, write_lut
 from mole.model import (
+    KEY_BLOCK,
     forward_tokens,
     init_decode_state,
     model_forward,
     mole_expert_rows,
+    pack_lanes,
     param_names,
 )
 from mole.reparam import (
@@ -154,20 +156,19 @@ class TestVerifyEquivalence:
         real = reparam.forward_tokens
         calls = []
 
-        def spy(params, lanes, state, form="train_form", lut=None, collect_hidden=None):
-            out = real(params, lanes, state, form=form, lut=lut, collect_hidden=collect_hidden)
-            calls.append((params, list(lanes), form, lut, out))
+        def spy(params, lanes, state, lut=None, collect_hidden=None):
+            out = real(params, lanes, state, lut=lut, collect_hidden=collect_hidden)
+            calls.append((params, list(lanes), lut, out))
             return out
 
         monkeypatch.setattr(reparam, "forward_tokens", spy)
         with open_lut(tmp_path / "nf4.lut") as nf4:
             report = verify_equivalence(p, infer, nf4, prompts, tolerance=1.0)
             assert 2 < len(calls) < 2 * len(prompts)  # grouped, in several groups
-            for params, lanes, form, src, out in calls:
+            for params, lanes, src, out in calls:
                 bounds = np.cumsum([0] + [len(x) for x in lanes])
                 for x, start, stop in zip(lanes, bounds[:-1], bounds[1:]):
-                    alone = real(params, [x], init_decode_state(params, 1, len(x)),
-                                 form=form, lut=src)
+                    alone = real(params, [x], init_decode_state(params, 1, len(x)), lut=src)
                     assert out[start:stop].tobytes() == alone.tobytes()
             lone = [verify_equivalence(p, infer, nf4, [x], tolerance=1.0).checks[0].rel_err
                     for x in prompts]
@@ -181,6 +182,21 @@ class TestVerifyEquivalence:
         assert [c.rel_err for c in tiny.checks] == lone
         assert [c.prompt_index for c in report.checks] == list(range(len(prompts)))
         assert verify_equivalence(p, infer, lut, prompts, tolerance=0.0).max_rel_err == 0.0
+
+    def test_group_budget_counts_every_planned_tile(self, monkeypatch):
+        """A group's score count is at least what its prefill's tile plan
+        scores, also just past a block edge, where the lanes x longest x
+        slots grid counts fewer (two 17-row lanes: 2 x 17 x 32 scores per
+        head against 6 tiles of 16 x 16)."""
+        cfg = tiny_mole(max_seq=48).cfg
+        for lengths in ([17, 17], [17, 1], [1, 17, 33], [16, 17, 48]):
+            step = pack_lanes(np.zeros(len(lengths), np.int64), np.array(lengths))
+            scores = len(step.tiles.block) * cfg.n_heads * KEY_BLOCK * KEY_BLOCK
+            assert sum(lengths) * cfg.vocab < scores  # the scores set the count
+            monkeypatch.setattr(reparam, "VERIFY_GROUP_ELEMENTS", scores - 1)
+            assert len(reparam._prompt_groups(cfg, lengths)) > 1, lengths
+            monkeypatch.setattr(reparam, "VERIFY_GROUP_ELEMENTS", scores)
+            assert reparam._prompt_groups(cfg, lengths) == [range(len(lengths))], lengths
 
     def test_equivalence_across_lengths(self, rng):
         p, infer, lut = self._setup()
@@ -215,8 +231,7 @@ class TestRowSource:
         src = PrefetchOnlyLut(tables)
         assert not hasattr(src, "gather")
         ids = rng.integers(0, p.cfg.vocab, size=(2, 7))
-        got = forward_tokens(infer, list(ids), init_decode_state(p, *ids.shape),
-                             form="lut_form", lut=src)
+        got = forward_tokens(infer, list(ids), init_decode_state(p, *ids.shape), lut=src)
         assert got.tobytes() == model_forward(p, ids).tobytes()
 
         prompts = random_prompts(rng, p.cfg.vocab, 6, p.cfg.max_seq)

@@ -7,7 +7,8 @@ after. Each line is ``<kernel> <artifact> <sha256>``. The artifacts are all
 float32, from seeded weights of the toy configs in ``configs/``:
 
 - ``train``: the logits and, as one digest, every gradient of toy-mole,
-  toy-moe and toy-dense on one batch of 8 x 48 (``trainer.backward``);
+  toy-moe and toy-dense on one batch of 8 x 48 (``trainer.backward``), and
+  the same on a short batch of 4 x 12 (``toy-<name>.short``);
 - ``adam``: toy-mole's params and Adam ``m`` and ``v`` after 10 steps of
   ``backward``, ``clip_gradients`` and ``adam_step``;
 - ``lut``: toy-mole's table file in fp32, fp16, nf4 and nf3 (block 16 when
@@ -27,7 +28,7 @@ float32, from seeded weights of the toy configs in ``configs/``:
   logits row.
 
 Every group runs under ``kernels.TILED`` and then ``kernels.SEQUENTIAL``,
-forced whatever the local BLAS probe would pick: 2 x 37 lines. A run takes
+forced whatever the local BLAS probe would pick: 2 x 43 lines. A run takes
 about 8 s on a 2-core host.
 """
 
@@ -71,13 +72,13 @@ def tensors(named: dict[str, np.ndarray]) -> str:
     return sha(*(part for name in sorted(named) for part in (name, named[name])))
 
 
-def train_digests():
+def train_digests(batch_size: int = 8, seq: int = 48, tag: str = ""):
     for name in ("mole", "moe", "dense"):
         params, tcfg, corpus = toy(name, SEED)
-        batch = trainer.sample_batch(corpus, np.random.default_rng(SEED), 8, 48)
-        yield f"toy-{name}.logits", sha(model.model_forward(params, batch[0]))
+        batch = trainer.sample_batch(corpus, np.random.default_rng(SEED), batch_size, seq)
+        yield f"toy-{name}{tag}.logits", sha(model.model_forward(params, batch[0]))
         metrics, grads = trainer.backward(params, batch, tcfg)
-        yield f"toy-{name}.grads", sha(repr(sorted(metrics.items())), tensors(grads))
+        yield f"toy-{name}{tag}.grads", sha(repr(sorted(metrics.items())), tensors(grads))
 
 
 def adam_digests():
@@ -112,15 +113,15 @@ def verify_digests(workdir: Path):
         yield f"verify.{dtype}", sha(repr(dataclasses.asdict(report)))
 
 
-def step_logits(params, prompts, steps, form, lut=None) -> str:
+def step_logits(params, prompts, steps, lut=None) -> str:
     """Digest of the logits of a packed prefill of ``prompts`` and of
-    ``steps`` greedy one-token steps of every lane."""
+    ``steps`` greedy one-token steps of every lane, with table rows from
+    ``lut`` when it is given."""
     state = model.init_decode_state(params, len(prompts), max(map(len, prompts)) + steps)
-    logits = [model.forward_tokens(params, prompts, state, form=form, lut=lut)]
+    logits = [model.forward_tokens(params, prompts, state, lut=lut)]
     current = logits[0][np.cumsum(list(map(len, prompts))) - 1].argmax(axis=-1)
     for _ in range(steps):
-        logits.append(model.forward_tokens(params, [[t] for t in current], state,
-                                           form=form, lut=lut))
+        logits.append(model.forward_tokens(params, [[t] for t in current], state, lut=lut))
         current = logits[-1].argmax(axis=-1)
     return sha(*logits)
 
@@ -135,10 +136,10 @@ def decode_digests(workdir: Path):
     lut_store.write_lut(tables, workdir / "decode.lut", dtype="fp32")
     with lut_store.open_lut(workdir / "decode.lut") as lut:
         runs = [("mole-lut", engine.greedy_decode(infer, prompts, 4, "mole-lut", lut=lut))]
-        yield "decode.mole-lut.logits", step_logits(infer, prompts, 4, "lut_form", lut)
-    yield "decode.mole-train.logits", step_logits(mole_params, prompts, 4, "train_form")
-    yield "decode.moe-1.logits", step_logits(moe_params, prompts[:1], 4, "train_form")
-    yield "decode.moe-32.logits", step_logits(moe_params, prompts, 4, "train_form")
+        yield "decode.mole-lut.logits", step_logits(infer, prompts, 4, lut)
+    yield "decode.mole-train.logits", step_logits(mole_params, prompts, 4)
+    yield "decode.moe-1.logits", step_logits(moe_params, prompts[:1], 4)
+    yield "decode.moe-32.logits", step_logits(moe_params, prompts, 4)
     runs.append(("mole-train", engine.greedy_decode(mole_params, prompts, 4, "mole-train")))
     runs.append(("moe-offload", engine.greedy_decode(moe_params, prompts, 4, "moe-offload",
                                                      seed=SEED)))
@@ -157,7 +158,7 @@ def long_digests():
         yield f"long.{runtime}.stream", sha(result.ids)
         yield f"long.{runtime}.meter", sha(repr([dataclasses.astuple(r)
                                                 for r in result.meter.records]))
-        yield f"long.{runtime}.logits", step_logits(params, [prompt], 8, "train_form")
+        yield f"long.{runtime}.logits", step_logits(params, [prompt], 8)
 
 
 def main() -> None:
@@ -165,8 +166,8 @@ def main() -> None:
         kernels._backends.clear()
         kernels._backends[np.dtype(np.float32)] = kernel
         with tempfile.TemporaryDirectory() as tmp:
-            for group in (train_digests(), adam_digests(), verify_digests(Path(tmp)),
-                          decode_digests(Path(tmp)), long_digests()):
+            for group in (train_digests(), train_digests(4, 12, ".short"), adam_digests(),
+                          verify_digests(Path(tmp)), decode_digests(Path(tmp)), long_digests()):
                 for artifact, digest in group:
                     print(f"{kernel} {artifact} {digest}", flush=True)
     kernels._backends.clear()
